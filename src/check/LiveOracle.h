@@ -9,8 +9,9 @@
 /// The dynamic half of the liveness story, mirroring the escape oracle
 /// (Oracle.h). The static analysis claims, per allocation site, that no
 /// field of any cell born there is ever read (demand ⊥ — the EAL-D001
-/// set). This observer rides the tree-walker's ExecutionObserver hooks
-/// and refutes any claim the run contradicts:
+/// set). This consumer of the runtime's per-cell event channel
+/// (runtime/ExecutionObserver.h) needs only births and touches, so it
+/// runs on either engine, and it refutes any claim the run contradicts:
 ///
 ///  * every car/cdr/fst/snd lands here as cellTouched; a touch of a
 ///    cell whose *current* SiteId is claimed dead is a hard violation.
@@ -87,9 +88,8 @@ struct LiveOracleReport {
   std::string render(const SourceManager &SM) const;
 };
 
-/// The ExecutionObserver that checks dead-site claims against a run.
-/// Tree-walker only, like the escape oracle: the VM's fused field-read
-/// fast paths do not report touches to observers.
+/// The ExecutionObserver that checks dead-site claims against a run of
+/// either engine.
 class LivenessOracle final : public ExecutionObserver {
 public:
   explicit LivenessOracle(LiveClaims Claims);

@@ -23,44 +23,6 @@ using namespace eal;
 
 namespace {
 
-/// Fans every observer hook out to two observers, so the escape oracle
-/// and the liveness oracle (or a caller-supplied observer and either
-/// oracle) can ride the same run.
-class FanOutObserver final : public ExecutionObserver {
-public:
-  FanOutObserver(ExecutionObserver *A, ExecutionObserver *B) : A(A), B(B) {}
-
-  void cellAllocated(const ConsCell *Cell, uint32_t SiteId) override {
-    A->cellAllocated(Cell, SiteId);
-    B->cellAllocated(Cell, SiteId);
-  }
-  void cellTouched(const ConsCell *Cell, uint64_t NowSeq) override {
-    A->cellTouched(Cell, NowSeq);
-    B->cellTouched(Cell, NowSeq);
-  }
-  void activationEntered(const LambdaExpr *Fn, const AppExpr *CallSite,
-                         std::span<const RtValue> Args) override {
-    A->activationEntered(Fn, CallSite, Args);
-    B->activationEntered(Fn, CallSite, Args);
-  }
-  bool activationExited(const RtValue *Result) override {
-    // Both sides must see every exit (strict bracketing) even when the
-    // first one aborts.
-    bool KeepA = A->activationExited(Result);
-    bool KeepB = B->activationExited(Result);
-    Aborted = !KeepA ? A : !KeepB ? B : nullptr;
-    return KeepA && KeepB;
-  }
-  std::string abortReason() const override {
-    return Aborted ? Aborted->abortReason() : ExecutionObserver::abortReason();
-  }
-
-private:
-  ExecutionObserver *A;
-  ExecutionObserver *B;
-  ExecutionObserver *Aborted = nullptr;
-};
-
 /// The eal-stats-v1 document (tools/check_stats_json.py-compatible shape;
 /// see docs/OBSERVABILITY.md).
 bool writeStatsJson(const std::string &Path, const std::string &Command,
@@ -231,7 +193,7 @@ void runPipelineImpl(const std::string &Source,
 
   ExecutionEngine Engine = Options.Engine;
   Interpreter::Options RunOpts = Options.Run;
-  RunOpts.Profiler = Options.Obs.Profile;
+  prof::Profiler *Profile = Options.Obs.Profile;
 
   if (Options.Spec.Enable) {
     // Profiling pre-run (tree-walker: the branch hooks live there). nml
@@ -246,9 +208,10 @@ void runPipelineImpl(const std::string &Source,
     {
       obs::rec::PhaseScope T(&R.PhaseMicros, "spec-profile");
       DiagnosticEngine PreDiags;
+      // Only the planner's profiler observes it: the caller's consumers
+      // and any recording see the measured run alone.
       Interpreter::Options PreOpts = Options.Run;
-      PreOpts.Observer = nullptr;
-      PreOpts.Profiler = &PreProfile;
+      PreOpts.Observer = &PreProfile;
       PreOpts.Spec = &Branches;
       Interpreter Pre(*R.Ast, R.Optimized->Typed, &R.Optimized->Plan,
                       PreDiags, PreOpts);
@@ -286,36 +249,36 @@ void runPipelineImpl(const std::string &Source,
 
   if (Options.RunOracle) {
     obs::rec::PhaseScope T(&R.PhaseMicros, "claims");
-    // The observer hooks live in the tree-walker, and a sound plan must
-    // also survive cell-by-cell arena-free validation.
+    // The oracle checks activation events, which only the tree-walker
+    // reports, and a sound plan must also survive cell-by-cell arena-free
+    // validation.
     Engine = ExecutionEngine::TreeWalker;
     RunOpts.ValidateArenaFrees = true;
     EscapeAnalyzer Analyzer(*R.Ast, R.Optimized->Typed, *R.Diags, 512,
                             OptConfig.Analysis);
     R.Oracle = std::make_unique<check::EscapeOracle>(
         *R.Ast, check::buildClaimTable(*R.Ast, R.Optimized->Typed, Analyzer));
-    RunOpts.Observer = R.Oracle.get();
     T.span().arg("claims", static_cast<uint64_t>(R.Oracle->claimCount()));
   }
   if (Options.RunLiveOracle) {
     obs::rec::PhaseScope T(&R.PhaseMicros, "live-claims");
-    // Touch hooks live in the tree-walker (the VM's fused field reads
-    // bypass observers).
-    Engine = ExecutionEngine::TreeWalker;
     check::LiveClaims Claims;
     Claims.DeadSites = R.Live->deadSites();
     for (const live::SiteLive &S : R.Live->Sites)
       Claims.SiteLocs.emplace(S.Site->id(), S.Site->loc());
     R.LiveOracle = std::make_unique<check::LivenessOracle>(std::move(Claims));
-    if (RunOpts.Observer) {
-      R.FanOut = std::make_unique<FanOutObserver>(RunOpts.Observer,
-                                                  R.LiveOracle.get());
-      RunOpts.Observer = R.FanOut.get();
-    } else {
-      RunOpts.Observer = R.LiveOracle.get();
-    }
     T.span().arg("dead_claims", R.LiveOracle->report().DeadSitesClaimed);
   }
+  // One channel for every consumer of the measured run's cell events.
+  // The recorder's detail tier rides along only while a stream is open.
+  R.Observers = std::make_unique<ObserverFanOut>();
+  R.Observers->add(RunOpts.Observer);
+  R.Observers->add(R.Oracle.get());
+  R.Observers->add(R.LiveOracle.get());
+  R.Observers->add(Profile);
+  if (obs::rec::on() && obs::rec::streaming())
+    R.Observers->add(&cellRecorder());
+  RunOpts.Observer = R.Observers->get();
   if (Options.LiveGcPrune && R.Live)
     R.LiveDeadSites = std::make_unique<std::unordered_set<uint32_t>>(
         R.Live->deadSites());
@@ -334,7 +297,8 @@ void runPipelineImpl(const std::string &Source,
       VO.AllowHeapGrowth = RunOpts.AllowHeapGrowth;
       VO.MaxSteps = RunOpts.MaxSteps;
       VO.ValidateArenaFrees = RunOpts.ValidateArenaFrees;
-      VO.Profiler = RunOpts.Profiler;
+      VO.Observer = RunOpts.Observer;
+      VO.Profiler = Profile;
       VO.Spec = RunOpts.Spec;
       R.TheVm = std::make_unique<Vm>(*R.Code, *R.Diags, VO);
       if (R.LiveDeadSites)
@@ -351,8 +315,12 @@ void runPipelineImpl(const std::string &Source,
         R.Interp->heap().setDeadSites(R.LiveDeadSites.get());
       if (R.SpecRT)
         R.SpecRT->setHeap(&R.Interp->heap());
+      if (Profile)
+        Profile->setStepClock(&R.Interp->stats().Steps);
       R.Value = Options.UseLargeStack ? R.Interp->runOnLargeStack()
                                       : R.Interp->run();
+      if (Profile)
+        Profile->finish();
       R.Stats = R.Interp->stats();
     }
     T.span().arg("steps", R.Stats.Steps);

@@ -122,8 +122,9 @@ struct PipelineOptions {
   bool RunExplain = false;
   /// Cross-check every static escape claim against the concrete run
   /// (eal::check dynamic oracle). Forces the tree-walker engine (the
-  /// observer hooks live there) and arena-free validation; implies the
-  /// program is executed. A refuted claim aborts the run with an error.
+  /// activation events it checks are tree-walker only) and arena-free
+  /// validation; implies the program is executed. A refuted claim
+  /// aborts the run with an error.
   bool RunOracle = false;
   /// Run the backward heap-liveness analysis (src/live) over the final
   /// program: per-function demand summaries, per-site demands, and the
@@ -135,9 +136,10 @@ struct PipelineOptions {
   /// Cross-check every EAL-D001 dead-site claim against the concrete
   /// run (check::LivenessOracle): a field read or result-reachability
   /// of a claimed-dead cell is a violation. Implies RunLive and program
-  /// execution; forces the tree-walker engine (the touch hooks live
-  /// there). Violations land in PipelineResult::LiveOracle — they do
-  /// not abort the run; callers decide.
+  /// execution on the chosen engine (it needs only births and touches,
+  /// which both engines report). Violations land in
+  /// PipelineResult::LiveOracle — they do not abort the run; callers
+  /// decide.
   bool RunLiveOracle = false;
   /// Arm the one liveness *consumer* that changes runtime behaviour:
   /// the GC consults the dead-site set during marking and skips the
@@ -219,9 +221,9 @@ struct PipelineResult {
   /// The dynamic liveness oracle (present iff RunLiveOracle was set;
   /// kept alive so callers can read its report and last-touch map).
   std::unique_ptr<check::LivenessOracle> LiveOracle;
-  /// Observer fan-out when both dynamic oracles (or a caller-supplied
-  /// observer and an oracle) ride one run.
-  std::unique_ptr<ExecutionObserver> FanOut;
+  /// Every consumer of the measured run's cell events (caller observer,
+  /// oracles, profiler, recorder detail tier) on one channel.
+  std::unique_ptr<ObserverFanOut> Observers;
   /// The dead-site set handed to the heap under LiveGcPrune (the heap
   /// borrows it, so it must outlive the engine).
   std::unique_ptr<std::unordered_set<uint32_t>> LiveDeadSites;

@@ -39,7 +39,6 @@ using namespace eal::obs;
 using namespace eal::obs::rec;
 
 std::atomic<bool> rec::detail::LiteOn{true};
-std::atomic<bool> rec::detail::CellsOn{false};
 
 const char *rec::kindName(RecKind K) {
   static const char *const Names[] = {
@@ -88,7 +87,6 @@ struct RecState {
   std::thread Drain;
   std::ofstream Out;
   bool Binary = false;
-  bool DetailStream = false;
   std::string StreamCommand;
   /// Ring drop counters are cumulative for the life of the process;
   /// the stream footer reports drops during *this* stream, so start
@@ -241,12 +239,15 @@ void rec::setLiteEnabled(bool On) {
 
 namespace {
 
-void writeHeader(std::ostream &OS, const char *Mode, bool Binary, bool Detail,
+/// \p Stream selects mode "stream" (which carries the per-cell detail
+/// tier) over "flight" (a dump of the lite rings).
+void writeHeader(std::ostream &OS, bool Stream, bool Binary,
                  const std::string &Command) {
   OS << "{\"schema\":\"eal-rec-v1\",\"format\":\""
-     << (Binary ? "binary" : "ndjson") << "\",\"mode\":\"" << Mode
+     << (Binary ? "binary" : "ndjson") << "\",\"mode\":\""
+     << (Stream ? "stream" : "flight")
      << "\",\"command\":" << jsonQuote(Command)
-     << ",\"detail\":" << (Detail ? "true" : "false")
+     << ",\"detail\":" << (Stream ? "true" : "false")
      << ",\"epoch_us\":" << nowMicros() << ",\"kinds\":[";
   for (size_t I = 0; I != static_cast<size_t>(RecKind::NumKinds); ++I) {
     if (I)
@@ -378,19 +379,14 @@ bool rec::startStream(const StreamOptions &Opts, std::string *Err) {
     S.Recent.clear();
   }
   S.Binary = Opts.Binary;
-  S.DetailStream = Opts.Detail;
   S.StreamCommand = Opts.Command;
   S.StreamDroppedBase = 0;
   for (auto &R : S.Rings)
     S.StreamDroppedBase += R->Ring.dropped();
   S.Counters.clear();
-  writeHeader(S.Out, "stream", S.Binary, S.DetailStream, S.StreamCommand);
+  writeHeader(S.Out, /*Stream=*/true, S.Binary, S.StreamCommand);
   S.DrainStop.store(false, std::memory_order_release);
   S.StreamingOn.store(true, std::memory_order_release);
-#if EAL_OBS_RECORDER
-  if (Opts.Detail)
-    detail::CellsOn.store(true, std::memory_order_relaxed);
-#endif
   S.Drain = std::thread([&S] { drainLoop(S); });
   return true;
 }
@@ -399,7 +395,6 @@ bool rec::stopStream(std::string *Err) {
   RecState &S = state();
   if (!S.StreamingOn.load(std::memory_order_acquire))
     return true;
-  detail::CellsOn.store(false, std::memory_order_relaxed);
   S.DrainStop.store(true, std::memory_order_release);
   if (S.Drain.joinable())
     S.Drain.join();
@@ -517,7 +512,7 @@ bool rec::dumpNow(std::string_view Trigger) {
   std::ofstream OS(S.DumpPath, std::ios::out | std::ios::trunc);
   if (!OS)
     return false;
-  writeHeader(OS, "flight", /*Binary=*/false, S.DetailStream, S.DumpCommand);
+  writeHeader(OS, /*Stream=*/false, /*Binary=*/false, S.DumpCommand);
   for (const RecEvent &E : Events)
     writeEventNdjson(OS, E);
   std::vector<ThreadRing *> Rings;

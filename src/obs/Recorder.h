@@ -25,12 +25,14 @@
 ///
 ///  - lite (`on()`): run/phase boundaries, GC cycles, heap growth,
 ///    arena frees, deopts, oracle verdicts — O(dozens) per run;
-///  - detail (`cells()`): per-cell births/deaths/touches/DCONS re-tags/
-///    deopt migrations — O(allocations), enabled only while a detail
-///    stream is active.
+///  - detail: per-cell births/deaths/touches/DCONS re-tags/deopt
+///    migrations — O(allocations). These come from the runtime's cell
+///    event channel: the pipeline attaches eal::cellRecorder()
+///    (runtime/ExecutionObserver.h) to the measured run while a stream
+///    is open, so only streams carry them.
 ///
-/// Compiling with -DEAL_OBS_RECORDER=OFF turns both predicates into
-/// `constexpr false`, so every emit site is dead-code-eliminated (the
+/// Compiling with -DEAL_OBS_RECORDER=OFF turns `on()` into `constexpr
+/// false`, so every emit site is dead-code-eliminated (the
 /// 0%-compiled-out guarantee); the drain/dump/timeline machinery still
 /// builds, it just sees no events.
 ///
@@ -57,8 +59,7 @@
 namespace eal::obs::rec {
 
 namespace detail {
-extern std::atomic<bool> LiteOn;  ///< master switch (bench kill switch)
-extern std::atomic<bool> CellsOn; ///< detail tier; set by startStream
+extern std::atomic<bool> LiteOn; ///< master switch (bench kill switch)
 /// Stamps time + ring id and pushes into the calling thread's ring.
 void emitSlow(RecKind K, uint64_t A, uint64_t B, uint32_t C);
 } // namespace detail
@@ -66,15 +67,8 @@ void emitSlow(RecKind K, uint64_t A, uint64_t B, uint32_t C);
 #if EAL_OBS_RECORDER
 /// True when lite events are being recorded (the always-on default).
 inline bool on() { return detail::LiteOn.load(std::memory_order_relaxed); }
-/// True when per-cell detail events are wanted; check this (not just
-/// on()) before assembling a cell event on an allocation-rate path.
-inline bool cells() {
-  return detail::CellsOn.load(std::memory_order_relaxed) &&
-         detail::LiteOn.load(std::memory_order_relaxed);
-}
 #else
 constexpr bool on() { return false; }
-constexpr bool cells() { return false; }
 #endif
 
 /// Records one event (no-op unless on(); a single relaxed load when
@@ -106,7 +100,6 @@ void setLiteEnabled(bool On);
 struct StreamOptions {
   std::string Path;
   bool Binary = false; ///< raw RecEvent records instead of NDJSON lines
-  bool Detail = true;  ///< also record the per-cell tier
   std::string Command = "run"; ///< header metadata
 };
 

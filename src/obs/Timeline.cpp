@@ -385,6 +385,20 @@ void Timeline::replay(const std::vector<RecEvent> &Events) {
     LastUs = Events.back().TimeUs;
   }
 
+  // The speculation pre-run (phase "spec-profile") runs a heap of its
+  // own, but the footer's RuntimeStats describe the measured run alone:
+  // the replay skips the pre-run's heap events (its cell events are
+  // never recorded). Rings drain out of time order, so its time bands
+  // are collected first.
+  std::vector<std::pair<uint64_t, uint64_t>> PreRuns;
+  for (const RecEvent &Ev : Events)
+    if (Ev.Kind == static_cast<uint16_t>(RecKind::PhaseBegin) &&
+        name(Ev.A) == "spec-profile")
+      PreRuns.push_back({Ev.TimeUs, UINT64_MAX});
+    else if (Ev.Kind == static_cast<uint16_t>(RecKind::PhaseEnd) &&
+             name(Ev.A) == "spec-profile" && !PreRuns.empty())
+      PreRuns.back().second = Ev.TimeUs;
+
   std::unordered_map<uint64_t, size_t> RibbonBySeq; // AllocSeq -> index
   // Open phases per ring id (innermost last).
   std::unordered_map<uint16_t, std::vector<size_t>> OpenPhases;
@@ -431,7 +445,14 @@ void Timeline::replay(const std::vector<RecEvent> &Events) {
   };
 
   for (const RecEvent &Ev : Events) {
-    switch (static_cast<RecKind>(Ev.Kind)) {
+    auto K = static_cast<RecKind>(Ev.Kind);
+    // GcBegin through ArenaFree are the heap's lite kinds.
+    if (K >= RecKind::GcBegin && K <= RecKind::ArenaFree &&
+        std::any_of(PreRuns.begin(), PreRuns.end(), [&](const auto &Band) {
+          return Ev.TimeUs >= Band.first && Ev.TimeUs <= Band.second;
+        }))
+      continue;
+    switch (K) {
     case RecKind::RunBegin:
       AddMarker(Ev, name(Ev.A) + "/" + name(Ev.B));
       break;

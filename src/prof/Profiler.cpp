@@ -7,21 +7,11 @@
 
 #include "prof/Profiler.h"
 
+#include "lang/Ast.h"
+
 #include <cassert>
 
 namespace eal::prof {
-
-const char *storageName(Storage S) {
-  switch (S) {
-  case Storage::Heap:
-    return "heap";
-  case Storage::Stack:
-    return "stack";
-  case Storage::Region:
-    return "region";
-  }
-  return "?";
-}
 
 //===----------------------------------------------------------------------===//
 // StackTree
@@ -125,6 +115,49 @@ StackTree::folded(const std::function<std::string(uint32_t)> &Resolve,
 const SiteCounters *Profiler::site(uint32_t Id) const {
   auto It = Sites.find(Id);
   return It == Sites.end() ? nullptr : &It->second;
+}
+
+static_assert(static_cast<unsigned>(CellClass::Region) + 1 ==
+                  NumStorageClasses,
+              "site counters index by CellClass");
+
+void Profiler::cellAllocated(const ConsCell *Cell, uint32_t SiteId) {
+  ++Sites[SiteId].Allocs[static_cast<unsigned>(Cell->Class)];
+}
+
+void Profiler::cellTouched(const ConsCell *Cell, uint64_t) {
+  if (!Cell->Touched)
+    ++Sites[baseSiteId(Cell->SiteId)].FirstTouches;
+}
+
+void Profiler::cellDied(const ConsCell *Cell, CellDeath, uint64_t NowSeq) {
+  SiteCounters &SC = Sites[baseSiteId(Cell->SiteId)];
+  ++SC.Deaths[static_cast<unsigned>(Cell->Class)];
+  SC.Lifetime.record(NowSeq - Cell->AllocSeq);
+}
+
+void Profiler::cellReused(const ConsCell *Cell, uint32_t SiteId,
+                          uint64_t NowSeq) {
+  ++Sites[SiteId].Reuses;
+  SiteCounters &Old = Sites[baseSiteId(Cell->SiteId)];
+  ++Old.Overwritten;
+  Old.Lifetime.record(NowSeq - Cell->AllocSeq);
+}
+
+void Profiler::cellMigrated(const ConsCell *Cell) {
+  ++Sites[baseSiteId(Cell->SiteId)].Migrated;
+}
+
+void Profiler::activationEntered(const LambdaExpr *Fn, const AppExpr *,
+                                 std::span<const RtValue>) {
+  syncStepClock();
+  framePushed(Fn->id());
+}
+
+bool Profiler::activationExited(const RtValue *) {
+  syncStepClock();
+  framePopped();
+  return true;
 }
 
 void Profiler::beginVm(size_t NumProtos, size_t NumOpcodes) {

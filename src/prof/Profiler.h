@@ -10,30 +10,29 @@
 /// claims. Two views of one run:
 ///
 ///  * **Allocation sites.** Every cons cell carries the node id of its
-///    static allocation site (ConsCell::SiteId); the heap reports each
-///    birth with its storage class and each death — GC sweep, arena
-///    free, or DCONS overwrite — with its lifetime measured in
-///    allocation-sequence distance. Per site the profiler keeps counts
-///    bucketed by storage class plus a lifetime histogram, so a report
-///    can say *which source cons* produced the garbage and whether the
-///    planner's stack/region/reuse claims actually fired.
+///    static allocation site (ConsCell::SiteId). The profiler is one
+///    consumer of the runtime's per-cell event channel
+///    (runtime/ExecutionObserver.h): each birth is counted with its
+///    storage class and each death — GC sweep, arena free, or DCONS
+///    overwrite — with its lifetime measured in allocation-sequence
+///    distance. Per site the profiler keeps counts bucketed by storage
+///    class plus a lifetime histogram, so a report can say *which source
+///    cons* produced the garbage and whether the planner's
+///    stack/region/reuse claims actually fired.
 ///
 ///  * **Hot path.** An exact (not sampled) calling-context tree for
 ///    either engine, weighted by interpreter steps / VM instructions,
 ///    exportable as collapsed stacks (the `folded` flamegraph format);
 ///    for the VM additionally exact per-opcode and per-proto dispatch
-///    counters.
+///    counters. The tree-walker feeds the tree through the channel's
+///    activation events; the VM calls the frame and dispatch hooks
+///    directly (Vm::Options::Profiler).
 ///
-/// The profiler is deliberately ignorant of the runtime and the AST:
-/// keys are plain uint32 ids (AST node ids in the tree-walker, proto
-/// indices in the VM) and callers resolve them to names at export time.
-/// That keeps the dependency arrow pointing the right way — the heap and
-/// both engines link against this, the report builder links against the
-/// world.
-///
-/// Cost discipline (same as eal::obs): every producer site is guarded by
-/// one profiler-pointer null check, so runs without a profiler attached
-/// pay one predictable branch.
+/// Dependency direction: the profiler depends on the runtime's observer
+/// interface, and the runtime knows nothing of the profiler. Keys are
+/// plain uint32 ids (AST node ids in the tree-walker, proto indices in
+/// the VM) that callers resolve to names at export time; the report
+/// builder (ProfileReport.h) links against the world.
 ///
 /// One caveat worth stating once: a DCONS overwrite re-tags the cell
 /// with the dcons site but does *not* restamp ConsCell::AllocSeq (the
@@ -46,6 +45,7 @@
 #ifndef EAL_PROF_PROFILER_H
 #define EAL_PROF_PROFILER_H
 
+#include "runtime/ExecutionObserver.h"
 #include "support/Metrics.h"
 
 #include <cstdint>
@@ -56,14 +56,8 @@
 
 namespace eal::prof {
 
-/// Storage class of one allocation, as the profiler buckets it. Mirrors
-/// the runtime's CellClass (same order, same values); kept separate so
-/// the runtime can depend on the profiler and not vice versa.
-enum class Storage : uint8_t { Heap = 0, Stack = 1, Region = 2 };
+/// Site counters bucket by storage class, indexed by CellClass.
 constexpr unsigned NumStorageClasses = 3;
-
-/// Returns "heap" / "stack" / "region".
-const char *storageName(Storage S);
 
 /// Site id of allocations with no static site (engine-internal cells,
 /// tests poking the heap directly). Never collides with an AST node id.
@@ -154,35 +148,23 @@ private:
   uint64_t Last = 0;
 };
 
-/// One engine run's profile. Attach via Interpreter::Options::Profiler or
-/// Vm::Options::Profiler (which also hands it to the Heap); one Profiler
-/// instance profiles one run of one engine.
-class Profiler {
+/// One engine run's profile; one Profiler instance profiles one run of
+/// one engine. Attach it as the engine's observer (with other consumers
+/// through an ObserverFanOut); a VM run additionally passes it as
+/// Vm::Options::Profiler, a tree-walker run calls setStepClock.
+class Profiler final : public ExecutionObserver {
 public:
-  //===--- Allocation sites (fed by Heap and the DCONS hooks) ------------==//
+  //===--- Allocation sites: the per-cell event channel -------------------==//
 
-  void siteAlloc(uint32_t Site, Storage S) {
-    ++Sites[Site].Allocs[static_cast<unsigned>(S)];
-  }
-  void siteDeath(uint32_t Site, Storage S, uint64_t Lifetime) {
-    SiteCounters &SC = Sites[Site];
-    ++SC.Deaths[static_cast<unsigned>(S)];
-    SC.Lifetime.record(Lifetime);
-  }
-  /// DCONS overwrote a cell born at \p OldSite; the reuse is credited to
-  /// \p NewSite (the dcons site) and the overwritten allocation's
-  /// lifetime recorded against the old one.
-  void siteReuse(uint32_t NewSite, uint32_t OldSite, uint64_t Lifetime) {
-    ++Sites[NewSite].Reuses;
-    SiteCounters &Old = Sites[OldSite];
-    ++Old.Overwritten;
-    Old.Lifetime.record(Lifetime);
-  }
-  /// First demand on a cell currently tagged with \p Site.
-  void siteFirstTouch(uint32_t Site) { ++Sites[Site].FirstTouches; }
-  /// A cell born at \p Site was deopt-migrated from a speculative arena
-  /// to the GC heap (Heap::migrateArenaToHeap).
-  void siteMigrated(uint32_t Site) { ++Sites[Site].Migrated; }
+  void cellAllocated(const ConsCell *Cell, uint32_t SiteId) override;
+  /// Counts only a cell's first touch under its current site tag.
+  void cellTouched(const ConsCell *Cell, uint64_t NowSeq) override;
+  void cellDied(const ConsCell *Cell, CellDeath How, uint64_t NowSeq) override;
+  /// The reuse is credited to \p SiteId (the dcons site) and the
+  /// overwritten allocation's lifetime recorded against its old site.
+  void cellReused(const ConsCell *Cell, uint32_t SiteId,
+                  uint64_t NowSeq) override;
+  void cellMigrated(const ConsCell *Cell) override;
 
   const std::unordered_map<uint32_t, SiteCounters> &sites() const {
     return Sites;
@@ -192,12 +174,18 @@ public:
 
   //===--- Hot path: activation transitions ------------------------------==//
   //
-  // The tree-walker advances the clock explicitly (its weight unit is
-  // RuntimeStats::Steps); the VM advances it one tick per dispatched
-  // instruction via countVmStep.
+  // The tree-walker's weight unit is RuntimeStats::Steps: setStepClock
+  // points the profiler at the engine's counter, read at every
+  // activation event and at finish(). The VM advances the clock one tick
+  // per dispatched instruction via countVmStep.
 
-  void clockTo(uint64_t Now) { Ticks = Now; }
+  void setStepClock(const uint64_t *Steps) { StepClock = Steps; }
   uint64_t clock() const { return Ticks; }
+
+  /// Tree-walker activations drive the calling-context tree.
+  void activationEntered(const LambdaExpr *Fn, const AppExpr *CallSite,
+                         std::span<const RtValue> Args) override;
+  bool activationExited(const RtValue *Result) override;
 
   void framePushed(uint32_t Key) {
     Tree.attribute(Ticks);
@@ -214,8 +202,13 @@ public:
     Tree.pop();
   }
   /// End of run: attribute the tail and unwind (frames abandoned by a
-  /// runtime error included).
-  void finish() { Tree.finish(Ticks); }
+  /// runtime error included). Reads the step clock a last time and
+  /// detaches it, so the profile outlives the engine.
+  void finish() {
+    syncStepClock();
+    StepClock = nullptr;
+    Tree.finish(Ticks);
+  }
 
   const StackTree &stacks() const { return Tree; }
   const std::unordered_map<uint32_t, uint64_t> &calls() const {
@@ -239,10 +232,16 @@ public:
   const std::vector<uint64_t> &protoInstrs() const { return ProtoInstrs; }
 
 private:
+  void syncStepClock() {
+    if (StepClock)
+      Ticks = *StepClock;
+  }
+
   std::unordered_map<uint32_t, SiteCounters> Sites;
 
   StackTree Tree;
   uint64_t Ticks = 0;
+  const uint64_t *StepClock = nullptr;
   std::unordered_map<uint32_t, uint64_t> CallsByKey;
 
   std::vector<uint64_t> OpcodeCounts; ///< sized by beginVm (VM runs only)

@@ -8,22 +8,12 @@
 #include "runtime/Heap.h"
 
 #include "obs/Recorder.h"
-#include "prof/Profiler.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <cassert>
 
 using namespace eal;
-
-namespace {
-
-/// CellClass -> profiler storage class (same order by construction).
-prof::Storage storageOf(CellClass Class) {
-  return static_cast<prof::Storage>(Class);
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Marker
@@ -131,11 +121,8 @@ ConsCell *Heap::allocateHeap(uint32_t SiteId) {
   ++LiveHeap;
   if (LiveHeap > Stats.PeakLiveHeapCells)
     Stats.PeakLiveHeapCells = LiveHeap;
-  if (Prof) [[unlikely]]
-    Prof->siteAlloc(SiteId, prof::Storage::Heap);
-  if (obs::rec::cells()) [[unlikely]]
-    obs::rec::emit(obs::rec::RecKind::CellBirth, Cell->AllocSeq, Cell->SiteId,
-                   static_cast<uint32_t>(CellClass::Heap));
+  if (Obs) [[unlikely]]
+    Obs->cellAllocated(Cell, SiteId);
   return Cell;
 }
 
@@ -162,20 +149,21 @@ ConsCell *Heap::allocateInArena(size_t Handle, CellClass Class,
                                 uint32_t SiteId, bool Speculative) {
   assert(Handle < Arenas.size() && Arenas[Handle].Live && "stale arena");
   assert(Class != CellClass::Heap && "heap cells do not live in arenas");
-  ConsCell *Cell =
-      popFree(Class, Speculative ? SiteId | SpecSiteBit : SiteId);
+  // Tagged once: every retry below must keep the speculative bit.
+  const uint32_t Tagged = Speculative ? SiteId | SpecSiteBit : SiteId;
+  ConsCell *Cell = popFree(Class, Tagged);
   if (!Cell) {
     // Arena cells are never collected, so collection cannot help unless
     // heap garbage exists; try it, then grow.
     collect();
-    Cell = popFree(Class, SiteId);
+    Cell = popFree(Class, Tagged);
     if (!Cell) {
       if (!Opts.AllowGrowth)
         return nullptr;
       growPool(Capacity);
       ++Stats.HeapGrowths;
       obs::rec::emit(obs::rec::RecKind::HeapGrow, Capacity);
-      Cell = popFree(Class, SiteId);
+      Cell = popFree(Class, Tagged);
       if (!Cell)
         return nullptr;
     }
@@ -196,38 +184,19 @@ ConsCell *Heap::allocateInArena(size_t Handle, CellClass Class,
     ++A.RegionCells;
     ++Stats.RegionCellsAllocated;
   }
-  if (Prof) [[unlikely]]
-    Prof->siteAlloc(SiteId, storageOf(Class));
-  if (obs::rec::cells()) [[unlikely]]
-    obs::rec::emit(obs::rec::RecKind::CellBirth, Cell->AllocSeq, Cell->SiteId,
-                   static_cast<uint32_t>(Class));
+  if (Obs) [[unlikely]]
+    Obs->cellAllocated(Cell, SiteId);
   return Cell;
-}
-
-void Heap::profileArenaDeaths(const CellArena &A) {
-  // The one place profiling gives up freeArena's O(1): each cell's site
-  // and age are per-cell facts, so the chain must be walked. Only runs
-  // with a profiler attached.
-  for (ConsCell *Cell = A.Head; Cell; Cell = Cell->Next)
-    Prof->siteDeath(baseSiteId(Cell->SiteId), storageOf(Cell->Class),
-                    NextAllocSeq - Cell->AllocSeq);
 }
 
 void Heap::freeArena(size_t Handle) {
   assert(Handle < Arenas.size() && Arenas[Handle].Live && "stale arena");
   CellArena &A = Arenas[Handle];
-  if (Prof) [[unlikely]]
-    profileArenaDeaths(A);
-  if (obs::rec::cells()) [[unlikely]] {
-    // Per-cell deaths cost the same walk profiling does; only the
-    // detail tier pays it. Must precede the splice below.
+  // The one place observation gives up freeArena's O(1): each death is
+  // a per-cell event, so the chain is walked before the splice below.
+  if (Obs) [[unlikely]]
     for (ConsCell *Cell = A.Head; Cell; Cell = Cell->Next)
-      obs::rec::emit(obs::rec::RecKind::CellDeath, Cell->AllocSeq,
-                     Cell->SiteId,
-                     obs::rec::deathPayload(
-                         static_cast<uint8_t>(Cell->Class),
-                         obs::rec::DeathByArenaFree));
-  }
+      Obs->cellDied(Cell, CellDeath::ArenaFree, NextAllocSeq);
   if (A.Head) {
     // O(1) block reclamation: splice the whole chain onto the free list
     // without visiting the list structure. Cells are re-initialized on
@@ -273,14 +242,11 @@ size_t Heap::migrateArenaToHeap(size_t Handle) {
   assert(Handle < Arenas.size() && Arenas[Handle].Live && "stale arena");
   CellArena &A = Arenas[Handle];
   size_t Migrated = A.Count;
-  const bool RecCells = obs::rec::cells();
   ConsCell *Cell = A.Head;
   while (Cell) {
     ConsCell *Next = Cell->Next;
-    if (RecCells) [[unlikely]]
-      obs::rec::emit(obs::rec::RecKind::CellMigrate, Cell->AllocSeq,
-                     baseSiteId(Cell->SiteId),
-                     static_cast<uint32_t>(Cell->Class));
+    if (Obs) [[unlikely]]
+      Obs->cellMigrated(Cell);
     // The cell becomes an ordinary GC-heap resident: Next is a free-list/
     // arena-chain link and heap cells use neither. AllocSeq is preserved
     // — the oracle's (pointer, stamp) identity must survive deopt.
@@ -290,8 +256,6 @@ size_t Heap::migrateArenaToHeap(size_t Handle) {
     ++LiveHeap;
     if (LiveHeap > Stats.PeakLiveHeapCells)
       Stats.PeakLiveHeapCells = LiveHeap;
-    if (Prof) [[unlikely]]
-      Prof->siteMigrated(Cell->SiteId);
     Cell = Next;
   }
   // Empty the chain: the owning activation still frees this arena on
@@ -361,11 +325,10 @@ void Heap::clearMarks() {
 void Heap::collect() {
   ++Stats.GcRuns;
   // Capture before-counters so the GC events can report this run's work.
-  const bool Obs = obs::enabled() || obs::rec::on();
-  const uint64_t MarkedBefore = Obs ? Stats.CellsMarked : 0;
-  const uint64_t SweptBefore = Obs ? Stats.CellsSwept : 0;
-  const int64_t StartUs = Obs ? obs::nowMicros() : 0;
-  const bool RecCells = obs::rec::cells();
+  const bool Traced = obs::enabled() || obs::rec::on();
+  const uint64_t MarkedBefore = Traced ? Stats.CellsMarked : 0;
+  const uint64_t SweptBefore = Traced ? Stats.CellsSwept : 0;
+  const int64_t StartUs = Traced ? obs::nowMicros() : 0;
   obs::rec::emit(obs::rec::RecKind::GcBegin, LiveHeap, Capacity);
 
   markPhase(/*IncludeArenas=*/true, /*ExcludeHandle=*/SIZE_MAX);
@@ -376,15 +339,8 @@ void Heap::collect() {
       ++Stats.CellsScannedBySweep;
       if (Cell.State == CellState::Live && Cell.Class == CellClass::Heap &&
           !Cell.Mark) {
-        if (Prof) [[unlikely]]
-          Prof->siteDeath(baseSiteId(Cell.SiteId), prof::Storage::Heap,
-                          NextAllocSeq - Cell.AllocSeq);
-        if (RecCells) [[unlikely]]
-          obs::rec::emit(obs::rec::RecKind::CellDeath, Cell.AllocSeq,
-                         Cell.SiteId,
-                         obs::rec::deathPayload(
-                             static_cast<uint8_t>(CellClass::Heap),
-                             obs::rec::DeathBySweep));
+        if (Obs) [[unlikely]]
+          Obs->cellDied(&Cell, CellDeath::Sweep, NextAllocSeq);
         Cell.State = CellState::Free;
         Cell.Car = RtValue::makeNil();
         Cell.Cdr = RtValue::makeNil();
@@ -398,7 +354,7 @@ void Heap::collect() {
     }
   }
 
-  if (Obs) [[unlikely]] {
+  if (Traced) [[unlikely]] {
     const int64_t PauseUs = obs::nowMicros() - StartUs;
     const uint64_t Marked = Stats.CellsMarked - MarkedBefore;
     const uint64_t Swept = Stats.CellsSwept - SweptBefore;

@@ -25,6 +25,7 @@
 #ifndef EAL_RUNTIME_HEAP_H
 #define EAL_RUNTIME_HEAP_H
 
+#include "runtime/ExecutionObserver.h"
 #include "runtime/RtValue.h"
 #include "runtime/RuntimeStats.h"
 
@@ -34,10 +35,6 @@
 #include <vector>
 
 namespace eal {
-
-namespace prof {
-class Profiler;
-}
 
 /// Marks values during collection. Cons-cell traversal is iterative (long
 /// spines must not overflow the C++ stack); closures are delegated to the
@@ -98,14 +95,9 @@ public:
     TraceClosure = std::move(Tracer);
   }
 
-  /// Attaches the allocation-site profiler (null detaches). While set,
-  /// every birth and death (sweep, arena free) is reported with its
-  /// ConsCell::SiteId and storage class.
-  void setProfiler(prof::Profiler *P) { Prof = P; }
-
-  /// The next AllocSeq stamp to be issued; `allocSeq() - Cell.AllocSeq`
-  /// is a cell's age in allocations (the profiler's lifetime unit).
-  uint64_t allocSeq() const { return NextAllocSeq; }
+  /// Attaches the per-cell event channel (null detaches): every birth,
+  /// death and migration, and the engines' touch() and reuse() calls.
+  void setObserver(ExecutionObserver *O) { Obs = O; }
 
   /// Installs the liveness analysis's dead-site set (null detaches).
   /// While set, the mark phase treats a cell whose SiteId is in the set
@@ -159,6 +151,30 @@ public:
   /// region cells separately.
   void freeArena(size_t Handle);
 
+  //===--- Engine-side cell events ------------------------------------------==//
+
+  /// A field of \p Cell is being demanded (car/cdr/fst/snd): reports the
+  /// touch, then sets ConsCell::Touched, the only place that does.
+  void touch(ConsCell *Cell) {
+    if (Obs) [[unlikely]] {
+      Obs->cellTouched(Cell, NextAllocSeq);
+      Cell->Touched = true;
+    }
+  }
+
+  /// DCONS (§6): overwrites the dead cell \p Cell in place for site
+  /// \p SiteId. Touch attribution follows the new site from here on,
+  /// while the kept AllocSeq still identifies the original allocation.
+  void reuse(ConsCell *Cell, uint32_t SiteId, RtValue Car, RtValue Cdr) {
+    if (Obs) [[unlikely]]
+      Obs->cellReused(Cell, SiteId, NextAllocSeq);
+    Cell->SiteId = SiteId;
+    Cell->Touched = false;
+    Cell->Car = Car;
+    Cell->Cdr = Cdr;
+    ++Stats.DconsReuses;
+  }
+
   /// Debug validation: true if any cell of arena \p Handle is reachable
   /// from the current roots *excluding* arena chains themselves. Used to
   /// detect unsafe allocation plans before freeing.
@@ -183,7 +199,7 @@ private:
   Options Opts;
   RootScanner Roots;
   ClosureTracer TraceClosure;
-  prof::Profiler *Prof = nullptr;
+  ExecutionObserver *Obs = nullptr;
   const std::unordered_set<uint32_t> *DeadSites = nullptr;
   uint64_t PrunedDeadCells = 0;
 
@@ -200,10 +216,6 @@ private:
 
   /// Pops a cell off the free list (null if empty) and initializes it.
   ConsCell *popFree(CellClass Class, uint32_t SiteId);
-
-  /// Reports every cell of \p A to the profiler as dead (called before
-  /// the O(1) splice in freeArena, and only when a profiler is set).
-  void profileArenaDeaths(const CellArena &A);
 };
 
 } // namespace eal

@@ -7,14 +7,11 @@
 
 #include "runtime/Interpreter.h"
 
-#include "prof/Profiler.h"
 #include "runtime/ExecutionObserver.h"
-#include "runtime/PrimOps.h"
 #include "runtime/SpecHooks.h"
 #include "runtime/ValuePrinter.h"
 
 #include "lang/AstUtils.h"
-#include "obs/Recorder.h"
 #include "support/Diagnostics.h"
 #include "support/Trace.h"
 
@@ -86,7 +83,12 @@ Interpreter::Interpreter(const AstContext &Ast, const TypedProgram &Program,
         M.value(Slot.second);
     }
   });
-  TheHeap.setProfiler(Opts.Profiler);
+  TheHeap.setObserver(Opts.Observer);
+  Hooks.AllocateCell = [this](uint32_t Site) { return allocateConsCell(Site); };
+  Hooks.Error = [this](const std::string &Message) {
+    error(SourceLoc::invalid(), Message);
+  };
+  Hooks.Cells = &TheHeap;
 }
 
 Interpreter::~Interpreter() {
@@ -122,11 +124,6 @@ RtClosure *Interpreter::newClosure() {
 //===----------------------------------------------------------------------===//
 
 ConsCell *Interpreter::allocateConsCell(uint32_t SiteId) {
-  auto Observed = [&](ConsCell *Cell) {
-    if (Cell && Opts.Observer)
-      Opts.Observer->cellAllocated(Cell, SiteId);
-    return Cell;
-  };
   // Innermost active arena claiming this site wins (tightest lifetime).
   for (auto It = ArenaStack.rbegin(); It != ArenaStack.rend(); ++It) {
     auto SiteIt = It->Directive->Sites.find(SiteId);
@@ -135,44 +132,10 @@ ConsCell *Interpreter::allocateConsCell(uint32_t SiteId) {
     CellClass Class = SiteIt->second == ArenaSiteClass::Stack
                           ? CellClass::Stack
                           : CellClass::Region;
-    return Observed(TheHeap.allocateInArena(It->Handle, Class, SiteId,
-                                            It->Directive->SpecIndex >= 0));
+    return TheHeap.allocateInArena(It->Handle, Class, SiteId,
+                                   It->Directive->SpecIndex >= 0);
   }
-  return Observed(TheHeap.allocateHeap(SiteId));
-}
-
-//===----------------------------------------------------------------------===//
-// Primitives
-//===----------------------------------------------------------------------===//
-
-std::optional<RtValue>
-Interpreter::evalPrimCall(PrimOp Op, uint32_t SiteId,
-                          const std::vector<RtValue> &Args) {
-  PrimOpsHooks Hooks;
-  Hooks.AllocateCell = [this](uint32_t Site) { return allocateConsCell(Site); };
-  Hooks.Error = [this](const std::string &Message) {
-    error(SourceLoc::invalid(), Message);
-  };
-  Hooks.Stats = &Stats;
-  if (prof::Profiler *Prof = Opts.Profiler) [[unlikely]]
-    Hooks.CellReused = [this, Prof](const ConsCell *Cell, uint32_t Site) {
-      Prof->siteReuse(Site, baseSiteId(Cell->SiteId),
-                      TheHeap.allocSeq() - Cell->AllocSeq);
-    };
-  if (Opts.Profiler || Opts.Observer) [[unlikely]]
-    Hooks.CellTouched = [this](ConsCell *Cell) {
-      if (!Cell->Touched) {
-        Cell->Touched = true;
-        if (prof::Profiler *Prof = Opts.Profiler)
-          Prof->siteFirstTouch(baseSiteId(Cell->SiteId));
-        if (obs::rec::cells()) [[unlikely]]
-          obs::rec::emit(obs::rec::RecKind::CellTouch, Cell->AllocSeq,
-                         Cell->SiteId);
-      }
-      if (Opts.Observer)
-        Opts.Observer->cellTouched(Cell, TheHeap.allocSeq());
-    };
-  return evalSaturatedPrim(Op, SiteId, Args, Hooks);
+  return TheHeap.allocateHeap(SiteId);
 }
 
 //===----------------------------------------------------------------------===//
@@ -204,7 +167,7 @@ Interpreter::applyPrim(RtClosure &Prim, const std::vector<RtValue> &Args,
   // Cells allocated through a primitive *value* have no static call site;
   // they go to the heap (SiteId of the prim occurrence never appears in
   // any directive).
-  return evalPrimCall(Prim.Op, Prim.PrimNodeId, Full);
+  return evalSaturatedPrim(Prim.Op, Prim.PrimNodeId, Full, Hooks);
 }
 
 std::optional<RtValue>
@@ -312,16 +275,7 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
         Obs->activationEntered(C->Lambda, DirectCallee ? Call : nullptr,
                                std::span<const RtValue>(Args).subspan(
                                    FirstArg, Idx - FirstArg));
-      if (prof::Profiler *Prof = Opts.Profiler) [[unlikely]] {
-        // The tree-walker's hot-path clock is Stats.Steps (fuel ticks).
-        Prof->clockTo(Stats.Steps);
-        Prof->framePushed(C->Lambda->id());
-      }
       R = eval(Body, Frame);
-      if (prof::Profiler *Prof = Opts.Profiler) [[unlikely]] {
-        Prof->clockTo(Stats.Steps);
-        Prof->framePopped();
-      }
       // The exit hook runs before FreeArenas so arena cells are still
       // inspectable, and inside the FrameGuard so the frame roots them.
       if (Obs && !Obs->activationExited(R ? &*R : nullptr) && R) {
@@ -365,7 +319,7 @@ std::optional<RtValue> Interpreter::evalCallSpine(const AppExpr *Call,
         Args.push_back(*V);
       }
       // The cons site id is the outermost App node of the spine.
-      return evalPrimCall(Prim->op(), Call->id(), Args);
+      return evalSaturatedPrim(Prim->op(), Call->id(), Args, Hooks);
     }
   }
 
@@ -528,10 +482,6 @@ std::optional<RtValue> Interpreter::run() {
   EnvPtr Root = std::make_shared<EnvFrame>();
   FrameGuard Active(ActiveFrames, Root.get());
   std::optional<RtValue> Result = eval(Program.root(), Root);
-  if (prof::Profiler *Prof = Opts.Profiler) {
-    Prof->clockTo(Stats.Steps);
-    Prof->finish();
-  }
   if (S.active()) {
     S.arg("steps", Stats.Steps);
     S.arg("applications", Stats.Applications);
@@ -588,10 +538,6 @@ Interpreter::callBinding(Symbol Fn, std::span<const Expr *const> Args,
     *ArgValues = Values;
   std::optional<RtValue> Result =
       applyValues(*FnSlot, Values, std::vector<size_t>(), nullptr);
-  if (prof::Profiler *Prof = Opts.Profiler) {
-    Prof->clockTo(Stats.Steps);
-    Prof->finish();
-  }
   if (Failed)
     return std::nullopt;
   return Result;

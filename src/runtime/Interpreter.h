@@ -26,6 +26,7 @@
 #include "opt/AllocPlanner.h"
 #include "runtime/Frame.h"
 #include "runtime/Heap.h"
+#include "runtime/PrimOps.h"
 #include "runtime/RtValue.h"
 #include "runtime/RuntimeStats.h"
 #include "types/TypeInference.h"
@@ -38,7 +39,6 @@
 namespace eal {
 
 class DiagnosticEngine;
-class ExecutionObserver;
 class SpecHooks;
 
 /// Evaluates one typed program.
@@ -53,13 +53,9 @@ public:
     /// Verify at every arena free that no arena cell is still reachable
     /// (catches unsafe allocation plans; expensive).
     bool ValidateArenaFrees = false;
-    /// Instrumentation hooks (allocation + activation events), not
-    /// owned; see runtime/ExecutionObserver.h. Null disables them.
+    /// Cell and activation events (runtime/ExecutionObserver.h), not
+    /// owned. Null disables them.
     ExecutionObserver *Observer = nullptr;
-    /// Allocation-site & hot-path profiler (prof/Profiler.h), not owned.
-    /// Null disables profiling; independent of Observer, so the dynamic
-    /// oracle and the profiler can run together.
-    prof::Profiler *Profiler = nullptr;
     /// Speculative-tier hooks (runtime/SpecHooks.h), not owned. While
     /// set, every entered if-branch is reported, speculative directives
     /// (SpecIndex >= 0) are honored only while directiveArmed says so,
@@ -119,9 +115,6 @@ private:
   std::optional<RtValue> applyPrim(RtClosure &Prim,
                                    const std::vector<RtValue> &Args,
                                    size_t First, size_t &Consumed);
-  std::optional<RtValue> evalPrimCall(PrimOp Op, uint32_t SiteId,
-                                      const std::vector<RtValue> &Args);
-
   /// Allocates the cell for cons site \p SiteId (consulting the active
   /// arena stack) or a plain heap cell when SiteId has no directive.
   ConsCell *allocateConsCell(uint32_t SiteId);
@@ -137,6 +130,8 @@ private:
   Options Opts;
   RuntimeStats Stats;
   Heap TheHeap;
+  /// Primitive-evaluation hooks, built once (not per primitive call).
+  PrimOpsHooks Hooks;
 
   /// GC roots: in-flight values and active environments.
   std::vector<RtValue> ShadowStack;

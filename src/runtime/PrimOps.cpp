@@ -7,27 +7,9 @@
 
 #include "runtime/PrimOps.h"
 
-#include "obs/Recorder.h"
-
 #include <cassert>
 
 using namespace eal;
-
-namespace {
-
-/// First-touch recording for the no-hook engines: when neither a
-/// profiler nor an observer installed CellTouched, the Touched flag is
-/// otherwise never flipped, so the recorder flips it here (the flag
-/// feeds only first-touch attribution; program results are unaffected).
-void recordTouch(ConsCell *Cell) {
-  if (obs::rec::cells() && !Cell->Touched) [[unlikely]] {
-    Cell->Touched = true;
-    obs::rec::emit(obs::rec::RecKind::CellTouch, Cell->AllocSeq,
-                   Cell->SiteId);
-  }
-}
-
-} // namespace
 
 std::optional<RtValue>
 eal::evalSaturatedPrim(PrimOp Op, uint32_t SiteId,
@@ -121,10 +103,7 @@ eal::evalSaturatedPrim(PrimOp Op, uint32_t SiteId,
     }
     if (!Args[0].isCons())
       return TypeError();
-    if (Hooks.CellTouched) [[unlikely]]
-      Hooks.CellTouched(Args[0].cell());
-    else
-      recordTouch(Args[0].cell());
+    Hooks.Cells->touch(Args[0].cell());
     return Op == PrimOp::Car ? Args[0].cell()->Car : Args[0].cell()->Cdr;
   case PrimOp::Cons: {
     ConsCell *Cell = Hooks.AllocateCell(SiteId);
@@ -150,10 +129,7 @@ eal::evalSaturatedPrim(PrimOp Op, uint32_t SiteId,
   case PrimOp::Snd:
     if (!Args[0].isPair())
       return TypeError();
-    if (Hooks.CellTouched) [[unlikely]]
-      Hooks.CellTouched(Args[0].cell());
-    else
-      recordTouch(Args[0].cell());
+    Hooks.Cells->touch(Args[0].cell());
     return Op == PrimOp::Fst ? Args[0].cell()->Car : Args[0].cell()->Cdr;
   case PrimOp::DCons: {
     // dcons p b c: reuse p's head cell in place (§6). The analysis
@@ -165,23 +141,7 @@ eal::evalSaturatedPrim(PrimOp Op, uint32_t SiteId,
     if (!Args[0].isCons())
       return TypeError();
     ConsCell *Cell = Args[0].cell();
-    if (Hooks.CellReused) [[unlikely]]
-      Hooks.CellReused(Cell, SiteId);
-    if (obs::rec::cells()) [[unlikely]] // before the re-tag: C = old site
-      obs::rec::emit(obs::rec::RecKind::CellDcons, Cell->AllocSeq, SiteId,
-                     Cell->SiteId);
-    // The overwrite re-tags the slot with the dcons site while keeping
-    // the birth AllocSeq: from here on, touch attribution follows the
-    // *new* site (the cell now holds that site's data), but (pointer,
-    // stamp) still identifies the original allocation. Unconditional so
-    // the liveness oracle sees the same identity with or without a
-    // profiler attached.
-    Cell->SiteId = SiteId;
-    Cell->Touched = false;
-    Cell->Car = Args[1];
-    Cell->Cdr = Args[2];
-    if (Hooks.Stats)
-      ++Hooks.Stats->DconsReuses;
+    Hooks.Cells->reuse(Cell, SiteId, Args[1], Args[2]);
     return RtValue::makeCons(Cell);
   }
   }

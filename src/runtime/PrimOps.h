@@ -17,8 +17,8 @@
 #define EAL_RUNTIME_PRIMOPS_H
 
 #include "lang/Ast.h"
+#include "runtime/Heap.h"
 #include "runtime/RtValue.h"
-#include "runtime/RuntimeStats.h"
 
 #include <functional>
 #include <optional>
@@ -33,18 +33,9 @@ struct PrimOpsHooks {
   std::function<ConsCell *(uint32_t SiteId)> AllocateCell;
   /// Reports a runtime error (message in LLVM diagnostic style).
   std::function<void(const std::string &)> Error;
-  /// Counters to charge (DconsReuses).
-  RuntimeStats *Stats = nullptr;
-  /// Profiling hook, set only while a prof::Profiler is attached: DCONS
-  /// is about to overwrite \p Cell in place on behalf of site \p SiteId.
-  /// Called before the overwrite so the hook can read the cell's old
-  /// site tag; the engine re-tags Cell->SiteId afterwards.
-  std::function<void(const ConsCell *Cell, uint32_t SiteId)> CellReused;
-  /// Liveness hook, set only while a profiler or execution observer is
-  /// attached: a field of \p Cell is being demanded (car/cdr/fst/snd).
-  /// Fires before the field value is returned. Tag tests (null) and the
-  /// DCONS overwrite are not touches (docs/LIVENESS.md).
-  std::function<void(ConsCell *Cell)> CellTouched;
+  /// The engine's heap: field reads report through Heap::touch and DCONS
+  /// overwrites through Heap::reuse, which also charges DconsReuses.
+  Heap *Cells = nullptr;
 };
 
 /// Applies the saturated primitive \p Op to \p Args (exactly

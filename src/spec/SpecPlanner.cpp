@@ -171,7 +171,7 @@ SpecPlan spec::planSpeculation(AstContext &Ast, const Expr *Root,
         M.Sites.emplace(SiteIt->second, Class);
         const prof::SiteCounters *SC = Profile.site(SiteIt->second);
         if (SC &&
-            SC->Allocs[static_cast<unsigned>(prof::Storage::Heap)] >=
+            SC->Allocs[static_cast<unsigned>(CellClass::Heap)] >=
                 Options.HotMinAllocs)
           SawHotSite = true;
       }

@@ -22,7 +22,6 @@
 
 #include "vm/Vm.h"
 
-#include "obs/Recorder.h"
 #include "prof/Profiler.h"
 #include "runtime/SpecHooks.h"
 #include "support/Diagnostics.h"
@@ -74,28 +73,12 @@ Vm::Vm(const Chunk &C, DiagnosticEngine &Diags, Options Opts)
   });
   Hooks.AllocateCell = [this](uint32_t Site) { return allocateCell(Site); };
   Hooks.Error = [this](const std::string &Message) { error(Message); };
-  Hooks.Stats = &Stats;
+  Hooks.Cells = &TheHeap;
+  TheHeap.setObserver(Opts.Observer);
   Prof = Opts.Profiler;
   Spec = Opts.Spec;
-  TheHeap.setProfiler(Prof);
-  if (Prof) {
+  if (Prof)
     Prof->beginVm(C.Protos.size(), NumOpcodes);
-    // DCONS through the shared evaluator (the slow path; the doPrim fast
-    // path reports inline).
-    Hooks.CellReused = [this](const ConsCell *Cell, uint32_t Site) {
-      Prof->siteReuse(Site, baseSiteId(Cell->SiteId),
-                      TheHeap.allocSeq() - Cell->AllocSeq);
-    };
-    Hooks.CellTouched = [this](ConsCell *Cell) {
-      if (!Cell->Touched) {
-        Cell->Touched = true;
-        Prof->siteFirstTouch(baseSiteId(Cell->SiteId));
-        if (obs::rec::cells()) [[unlikely]]
-          obs::rec::emit(obs::rec::RecKind::CellTouch, Cell->AllocSeq,
-                         Cell->SiteId);
-      }
-    };
-  }
   // Intern one closure per primitive-as-value site up front; PushPrim
   // is then a plain push, never an allocation.
   InternedPrims.reserve(C.PrimRefs.size());
@@ -342,15 +325,7 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
     RtValue &A = Stack[Size - 1];
     if (A.isCons()) {
       ConsCell *Cell = A.cell();
-      // Touched first: after a cell's first touch this is one flag test.
-      if (!Cell->Touched && (Prof || obs::rec::cells())) [[unlikely]] {
-        Cell->Touched = true;
-        if (Prof)
-          Prof->siteFirstTouch(baseSiteId(Cell->SiteId));
-        if (obs::rec::cells())
-          obs::rec::emit(obs::rec::RecKind::CellTouch, Cell->AllocSeq,
-                         Cell->SiteId);
-      }
+      TheHeap.touch(Cell);
       A = Op == PrimOp::Car ? Cell->Car : Cell->Cdr;
       return true;
     }
@@ -361,14 +336,7 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
     RtValue &A = Stack[Size - 1];
     if (A.isPair()) {
       ConsCell *Cell = A.cell();
-      if (!Cell->Touched && (Prof || obs::rec::cells())) [[unlikely]] {
-        Cell->Touched = true;
-        if (Prof)
-          Prof->siteFirstTouch(baseSiteId(Cell->SiteId));
-        if (obs::rec::cells())
-          obs::rec::emit(obs::rec::RecKind::CellTouch, Cell->AllocSeq,
-                         Cell->SiteId);
-      }
+      TheHeap.touch(Cell);
       A = Op == PrimOp::Fst ? Cell->Car : Cell->Cdr;
       return true;
     }
@@ -390,22 +358,7 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
   case PrimOp::DCons: {
     RtValue &P = Stack[Size - 3];
     if (P.isCons()) {
-      ConsCell *Cell = P.cell();
-      if (Prof) [[unlikely]]
-        Prof->siteReuse(Site, baseSiteId(Cell->SiteId),
-                        TheHeap.allocSeq() - Cell->AllocSeq);
-      if (obs::rec::cells()) [[unlikely]] // before the re-tag: C = old site
-        obs::rec::emit(obs::rec::RecKind::CellDcons, Cell->AllocSeq, Site,
-                       Cell->SiteId);
-      // Re-tag unconditionally (mirrors the shared evaluator): touch
-      // attribution follows the dcons site from here on, while AllocSeq
-      // keeps identifying the original allocation.
-      Cell->SiteId = Site;
-      Cell->Touched = false;
-      Cell->Car = Stack[Size - 2];
-      Cell->Cdr = Stack[Size - 1];
-      P = RtValue::makeCons(Cell);
-      ++Stats.DconsReuses;
+      TheHeap.reuse(P.cell(), Site, Stack[Size - 2], Stack[Size - 1]);
       Stack.resize(Size - 2);
       return true;
     }

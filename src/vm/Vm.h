@@ -32,6 +32,10 @@ namespace eal {
 class DiagnosticEngine;
 class SpecHooks;
 
+namespace prof {
+class Profiler;
+}
+
 /// Executes one compiled chunk.
 class Vm {
 public:
@@ -42,10 +46,13 @@ public:
     uint64_t MaxSteps = 2'000'000'000;
     /// Verify at every arena free that no arena cell is still reachable.
     bool ValidateArenaFrees = false;
-    /// Allocation-site & hot-path profiler (prof/Profiler.h), not owned.
-    /// Null disables profiling. When set, every dispatched instruction
-    /// is counted per opcode and per proto, and frame transitions feed
-    /// the calling-context tree.
+    /// Cell events (runtime/ExecutionObserver.h; the VM reports no
+    /// activations), not owned. Null disables them.
+    ExecutionObserver *Observer = nullptr;
+    /// Hot-path profiler (prof/Profiler.h), not owned. Null disables
+    /// profiling. When set, every dispatched instruction is counted per
+    /// opcode and per proto, and frame transitions feed the
+    /// calling-context tree. Its site counters are fed through Observer.
     prof::Profiler *Profiler = nullptr;
     /// Speculative-tier hooks (runtime/SpecHooks.h), not owned. While
     /// set, guard.spec instructions report to guardReached, speculative

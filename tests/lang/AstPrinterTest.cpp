@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace eal;
 using namespace eal::test;
 
@@ -24,6 +26,12 @@ struct CanonCase {
   const char *Source;
   const char *Canonical;
 };
+
+// Without a printer gtest names each case by the raw bytes of its two
+// pointers, which differ from run to run; print the texts instead.
+void PrintTo(const CanonCase &C, std::ostream *OS) {
+  *OS << C.Source << " -> " << C.Canonical;
+}
 
 class PrinterCanonTest : public ::testing::TestWithParam<CanonCase> {};
 

@@ -95,6 +95,37 @@ TEST_P(StreamRoundTrip, TimelineReconcilesWithRuntimeStats) {
 
 INSTANTIATE_TEST_SUITE_P(Formats, StreamRoundTrip, ::testing::Bool());
 
+// --spec runs the program once more, on the tree-walker, before the
+// measured run. A recording holds the measured run alone: no cell event
+// of the pre-run, and a replay that skips its heap events, so the
+// timeline reconciles on either engine.
+TEST(SpecRecording, HoldsTheMeasuredRunOnly) {
+  for (ExecutionEngine Engine :
+       {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode}) {
+    std::string Path = tempPath("spec.rec");
+    PipelineOptions Options;
+    Options.Engine = Engine;
+    Options.Spec.Enable = true;
+    Options.Run.HeapCapacity = 64; // both runs collect
+    Options.Obs.RecordPath = Path;
+    PipelineResult R = runPipeline(Workload, Options);
+    ASSERT_TRUE(R.Success) << R.diagnostics();
+    ASSERT_GT(R.Stats.GcRuns, 0u);
+
+    rec::Timeline T;
+    std::string Err;
+    ASSERT_TRUE(T.load(Path, &Err)) << Err;
+    uint64_t Births = T.BirthsByClass[rec::TlHeap] +
+                      T.BirthsByClass[rec::TlStack] +
+                      T.BirthsByClass[rec::TlRegion];
+    EXPECT_EQ(Births, R.Stats.totalCellsAllocated());
+    EXPECT_EQ(T.GcRuns, R.Stats.GcRuns);
+    std::string Why;
+    EXPECT_TRUE(T.reconciles(&Why)) << Why;
+    std::remove(Path.c_str());
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Forced-failure dumps
 //===----------------------------------------------------------------------===//

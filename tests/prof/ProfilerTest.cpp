@@ -124,13 +124,24 @@ TEST(StackTree, FinishUnwindsAbandonedFrames) {
 //===----------------------------------------------------------------------===//
 
 TEST(Profiler, SiteCountersBucketByStorageClass) {
+  // Free-standing cells fed through the event channel: three births at
+  // site 10 (two heap, one stack), one at 11 (region), a sweep of a
+  // site-10 heap cell, and a DCONS at site 12 over another.
+  auto Cell = [](uint32_t Site, CellClass Class, uint64_t Seq) {
+    ConsCell C;
+    C.SiteId = Site;
+    C.Class = Class;
+    C.AllocSeq = Seq;
+    return C;
+  };
+  ConsCell A = Cell(10, CellClass::Heap, 1), B = Cell(10, CellClass::Heap, 2),
+           S = Cell(10, CellClass::Stack, 3),
+           R = Cell(11, CellClass::Region, 4);
   prof::Profiler P;
-  P.siteAlloc(10, prof::Storage::Heap);
-  P.siteAlloc(10, prof::Storage::Heap);
-  P.siteAlloc(10, prof::Storage::Stack);
-  P.siteAlloc(11, prof::Storage::Region);
-  P.siteDeath(10, prof::Storage::Heap, 4);
-  P.siteReuse(12, 10, 9);
+  for (const ConsCell *C : {&A, &B, &S, &R})
+    P.cellAllocated(C, C->SiteId);
+  P.cellDied(&A, CellDeath::Sweep, 5);
+  P.cellReused(&B, 12, 11);
 
   const prof::SiteCounters *S10 = P.site(10);
   ASSERT_NE(S10, nullptr);

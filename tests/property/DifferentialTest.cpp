@@ -149,8 +149,8 @@ TEST_P(DifferentialTest, ProvenanceRecorderIsObservationOnly) {
 // consumer (LiveGcPrune) left off, enabling it must not change a single
 // byte of output or a single storage counter, on either engine, under
 // any optimization configuration. And the dynamic liveness oracle must
-// refute none of its dead-site claims on any of these runs
-// (docs/LIVENESS.md).
+// refute none of its dead-site claims on any of these runs, and report
+// identically on both engines (docs/LIVENESS.md).
 TEST_P(DifferentialTest, LivenessIsObservationOnlyAndClaimsHold) {
   ProgramGenerator Gen(GetParam());
   GenProgram Prog = Gen.generate(3);
@@ -205,8 +205,9 @@ TEST_P(DifferentialTest, LivenessIsObservationOnlyAndClaimsHold) {
             << GetParam() << "):\n"
             << Prog.Source;
 
-        // The liveness oracle forces the tree-walker; its dead-site
-        // claims must survive the concrete run under every config.
+        // The liveness oracle's dead-site claims must survive the
+        // concrete run under every config, and the VM, which reports the
+        // same births and touches, must produce the same report.
         PipelineResult Checked = Run(Reuse, Stack, Region,
                                      ExecutionEngine::TreeWalker, true, true);
         ASSERT_TRUE(Checked.Success) << Prog.Source << Checked.diagnostics();
@@ -218,6 +219,21 @@ TEST_P(DifferentialTest, LivenessIsObservationOnlyAndClaimsHold) {
             << Prog.Source
             << Checked.LiveOracle->report().render(*Checked.SM);
         EXPECT_EQ(Checked.RenderedValue, Plain.RenderedValue) << Prog.Source;
+
+        PipelineResult CheckedVm = Run(Reuse, Stack, Region,
+                                       ExecutionEngine::Bytecode, true, true);
+        ASSERT_TRUE(CheckedVm.Success)
+            << Prog.Source << CheckedVm.diagnostics();
+        ASSERT_NE(CheckedVm.LiveOracle, nullptr);
+        EXPECT_EQ(CheckedVm.LiveOracle->report().render(*CheckedVm.SM),
+                  Checked.LiveOracle->report().render(*Checked.SM))
+            << "LIVENESS ORACLE DIFFERS ACROSS ENGINES under config reuse="
+            << Reuse << " stack=" << Stack << " region=" << Region
+            << " (seed " << GetParam() << "):\n"
+            << Prog.Source;
+        EXPECT_EQ(CheckedVm.LiveOracle->lastTouchBySite(),
+                  Checked.LiveOracle->lastTouchBySite())
+            << Prog.Source;
       }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 using namespace eal;
@@ -170,6 +171,130 @@ TEST_F(HeapTest, ArenaReachabilityDetection) {
   Roots.push_back(RtValue::makeCons(Chain));
   EXPECT_TRUE(H.arenaIsReachable(Arena));
   H.freeArena(Arena);
+}
+
+TEST_F(HeapTest, SpeculativeTagSurvivesCollectAndGrow) {
+  // A pool of two cells, filled by one garbage heap cell and one
+  // speculative arena cell: the next speculative allocation succeeds
+  // only after a collection frees the garbage, the one after that only
+  // after the pool grows. Every retry must keep SpecSiteBit, or the
+  // recorder and `eal timeline` label the cell as a plain site.
+  Heap H = makeHeap(2, true);
+  (void)H.allocateHeap(3);
+  size_t Arena = H.createArena();
+  ConsCell *First = H.allocateInArena(Arena, CellClass::Region, 7, true);
+  ConsCell *AfterCollect =
+      H.allocateInArena(Arena, CellClass::Region, 7, true);
+  EXPECT_EQ(Stats.GcRuns, 1u);
+  EXPECT_EQ(Stats.HeapGrowths, 0u);
+  ConsCell *AfterGrow = H.allocateInArena(Arena, CellClass::Region, 7, true);
+  EXPECT_EQ(Stats.GcRuns, 2u);
+  EXPECT_EQ(Stats.HeapGrowths, 1u);
+  for (ConsCell *C : {First, AfterCollect, AfterGrow}) {
+    ASSERT_NE(C, nullptr);
+    EXPECT_EQ(C->SiteId, 7u | SpecSiteBit);
+  }
+  H.freeArena(Arena);
+}
+
+/// Logs every cell event the heap reports, in order.
+struct EventLog final : public ExecutionObserver {
+  std::vector<std::string> Events;
+
+  void cellAllocated(const ConsCell *Cell, uint32_t SiteId) override {
+    Events.push_back("birth " + std::to_string(SiteId) + " class " +
+                     std::to_string(static_cast<int>(Cell->Class)));
+  }
+  void cellTouched(const ConsCell *Cell, uint64_t) override {
+    Events.push_back(Cell->Touched ? "touch" : "first touch");
+  }
+  void cellDied(const ConsCell *Cell, CellDeath How, uint64_t) override {
+    Events.push_back(std::string(How == CellDeath::Sweep ? "swept " : "freed ") +
+                     std::to_string(Cell->SiteId));
+  }
+  void cellReused(const ConsCell *Cell, uint32_t SiteId, uint64_t) override {
+    Events.push_back("reuse " + std::to_string(baseSiteId(Cell->SiteId)) +
+                     " as " + std::to_string(SiteId));
+  }
+  void cellMigrated(const ConsCell *Cell) override {
+    Events.push_back("migrate " + std::to_string(baseSiteId(Cell->SiteId)));
+  }
+};
+
+TEST_F(HeapTest, ObserverSeesEveryCellEvent) {
+  Heap H = makeHeap(16, false);
+  EventLog Log;
+  H.setObserver(&Log);
+  (void)H.allocateHeap(1);
+  size_t Spec = H.createArena();
+  ConsCell *Cell = H.allocateInArena(Spec, CellClass::Region, 2, true);
+  H.touch(Cell);
+  H.touch(Cell);
+  H.reuse(Cell, 4, RtValue::makeInt(1), RtValue::makeNil());
+  EXPECT_FALSE(Cell->Touched) << "a DCONS starts a fresh incarnation";
+  H.touch(Cell);
+  EXPECT_EQ(H.migrateArenaToHeap(Spec), 1u);
+  H.freeArena(Spec);
+  size_t Stack = H.createArena();
+  (void)H.allocateInArena(Stack, CellClass::Stack, 5);
+  H.freeArena(Stack);
+  H.collect(); // the sweep walks the slab in address order
+  EXPECT_EQ(Log.Events,
+            (std::vector<std::string>{
+                "birth 1 class 0", "birth 2 class 2", "first touch", "touch",
+                "reuse 2 as 4", "first touch", "migrate 4", "birth 5 class 1",
+                "freed 5", "swept 4", "swept 1"}));
+  EXPECT_EQ(Stats.DconsReuses, 1u);
+}
+
+/// Vetoes every activation exit under its own name.
+struct Vetoer final : public ExecutionObserver {
+  explicit Vetoer(std::string Name) : Name(std::move(Name)) {}
+  std::string Name;
+  unsigned Exits = 0;
+  bool activationExited(const RtValue *) override {
+    ++Exits;
+    return false;
+  }
+  std::string abortReason() const override { return Name; }
+};
+
+TEST(ObserverFanOut, ForwardsEveryEventToEachObserver) {
+  ObserverFanOut Fan;
+  EXPECT_EQ(Fan.get(), nullptr);
+  EventLog A, B;
+  Fan.add(&A);
+  Fan.add(nullptr);
+  EXPECT_EQ(Fan.get(), &A) << "a lone observer needs no fan-out";
+  Fan.add(&B);
+  EXPECT_EQ(Fan.get(), &Fan);
+  ConsCell Cell;
+  Cell.SiteId = 3;
+  Fan.cellAllocated(&Cell, 3);
+  Fan.cellTouched(&Cell, 1);
+  Fan.cellReused(&Cell, 4, 1);
+  Fan.cellMigrated(&Cell);
+  Fan.cellDied(&Cell, CellDeath::ArenaFree, 2);
+  EXPECT_EQ(A.Events.size(), 5u);
+  EXPECT_EQ(A.Events, B.Events);
+}
+
+TEST(ObserverFanOut, EveryObserverSeesEachExitAndTheFirstVetoWins) {
+  Vetoer First("first"), Second("second");
+  ObserverFanOut Fan;
+  Fan.add(&First);
+  Fan.add(&Second);
+  EXPECT_FALSE(Fan.activationExited(nullptr));
+  EXPECT_EQ(First.Exits, 1u);
+  EXPECT_EQ(Second.Exits, 1u) << "strict bracketing: no exit is skipped";
+  EXPECT_EQ(Fan.abortReason(), "first");
+}
+
+TEST_F(HeapTest, TouchFlagStaysClearWithoutObserver) {
+  Heap H = makeHeap(16, false);
+  ConsCell *Cell = H.allocateHeap(1);
+  H.touch(Cell);
+  EXPECT_FALSE(Cell->Touched);
 }
 
 TEST_F(HeapTest, ArenaReachableThroughAnotherArena) {

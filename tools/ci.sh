@@ -68,6 +68,7 @@ run_config() {
   if [ "$name" = asan ]; then
     explain_smoke "$dir"
     live_smoke "$dir"
+    live_oracle_smoke "$dir"
     spec_smoke "$dir"
     record_smoke "$dir"
   fi
@@ -124,6 +125,26 @@ live_smoke() {
   done
 }
 
+# Liveness-oracle smoke: run every shipped example under ASan with the
+# dynamic liveness oracle on both engines. Both feed the same per-cell
+# event channel (docs/INTERNALS.md), so a refuted dead-site claim or a
+# touch reported through a stale cell fails here on either engine.
+live_oracle_smoke() {
+  local dir="$1"
+  echo "=== [asan] eal run --live-oracle over examples/nml (both engines)"
+  local example flags engine
+  for example in "$REPO"/examples/nml/*.nml; do
+    flags=""
+    case "$(basename "$example")" in
+    stats.nml) flags="--stdlib" ;;
+    esac
+    for engine in "" --vm; do
+      # shellcheck disable=SC2086
+      "$dir/tools/eal" run "$example" $flags $engine --live-oracle >/dev/null
+    done
+  done
+}
+
 # Speculative-tier smoke: run every shipped example under ASan with
 # speculation on AND a forced deopt, arena frees validated — the deopt
 # path migrates live cells mid-run, so this is where a dangling arena
@@ -151,28 +172,41 @@ spec_smoke() {
   done
 }
 
-# Flight-recorder smoke: stream every shipped example into an
-# eal-rec-v1 recording under ASan (the drain thread tails per-thread
-# rings while the big-stack execution thread emits -- exactly the
-# concurrency ASan should watch), round-trip each file through the
+# Flight-recorder smoke: stream every shipped example, on both engines,
+# into an eal-rec-v1 recording under ASan (the drain thread tails
+# per-thread rings while the big-stack execution thread emits -- exactly
+# the concurrency ASan should watch), round-trip each file through the
 # schema checker, and replay it with `eal timeline`, which exits 1 if
 # the replayed counters fail to reconcile with the run's own stats
-# (docs/RECORDER.md). Then force the crash path twice: an injected
-# spec deopt and a parse error, each with --rec-dump armed, must leave
-# a loadable flight recording whose trigger names the failure.
+# (docs/RECORDER.md). A speculative run on each engine must reconcile
+# too: the recording holds the measured run only, not the spec pre-run.
+# Then force the crash path twice: an injected spec deopt and a parse
+# error, each with --rec-dump armed, must leave a loadable flight
+# recording whose trigger names the failure.
 record_smoke() {
   local dir="$1"
   echo "=== [asan] eal run --record over examples/nml (+ schema + timeline)"
-  local example flags rec
+  local example flags rec engine
   for example in "$REPO"/examples/nml/*.nml; do
     flags=""
     case "$(basename "$example")" in
     stats.nml) flags="--stdlib" ;;
     esac
-    rec="$dir/record-$(basename "$example" .nml).rec"
+    for engine in "" --vm; do
+      rec="$dir/record-$(basename "$example" .nml)${engine}.rec"
+      # shellcheck disable=SC2086
+      "$dir/tools/eal" run "$example" $flags $engine --record="$rec" \
+          >/dev/null
+      python3 "$REPO/tools/check_rec_json.py" "$rec"
+      "$dir/tools/eal" timeline "$rec" >/dev/null
+    done
+  done
+  echo "=== [asan] eal run --spec --record (+ timeline, both engines)"
+  for engine in "" --vm; do
+    rec="$dir/record-spec-cold${engine}.rec"
     # shellcheck disable=SC2086
-    "$dir/tools/eal" run "$example" $flags --record="$rec" >/dev/null
-    python3 "$REPO/tools/check_rec_json.py" "$rec"
+    "$dir/tools/eal" run "$REPO/examples/nml/spec_cold.nml" --spec $engine \
+        --record="$rec" >/dev/null
     "$dir/tools/eal" timeline "$rec" >/dev/null
   done
   echo "=== [asan] forced deopt dump (--spec-inject-deopt + --rec-dump)"

@@ -68,7 +68,8 @@
 //   --check           run the lints alongside any command
 //   --oracle          execute under the dynamic escape oracle: every
 //                     static "does not escape" claim is verified against
-//                     the concrete heap; a refuted claim aborts the run
+//                     the concrete heap; a refuted claim aborts the run.
+//                     Runs on the tree-walker, whatever the engine flag
 //   --check-json=FILE write findings + oracle counters as JSON
 //                     (schema eal-check-v1, tools/check_findings_json.py)
 //
@@ -83,7 +84,8 @@
 //   --live            run the liveness analysis alongside any command
 //   --live-oracle     execute under the dynamic liveness oracle: every
 //                     EAL-D001 dead-site claim is checked against the
-//                     concrete run's field reads; violations exit 1
+//                     concrete run's field reads; violations exit 1.
+//                     Runs on the engine asked for (--vm or not)
 //   --live-gc         let the GC prune never-demanded structure (the one
 //                     liveness consumer that changes runtime behaviour)
 //   --live-json=FILE  write the liveness report as JSON (schema
