@@ -78,7 +78,7 @@ void printFigure1() {
               << (Counts.size() - I) << (Counts.size() - I == 1 ? "st" : "nd")
               << " spine)\n";
   std::cout << "  type-level spine count d = "
-            << spineCount(R.Optimized->Typed.typeOf(R.Optimized->Root))
+            << spineCount(R.Optimized->Typed->typeOf(R.Optimized->Root))
             << " (matches: " << (Counts.size() == 2 ? "yes" : "NO") << ")\n\n";
 }
 

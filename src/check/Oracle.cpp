@@ -10,7 +10,6 @@
 #include "lang/AstUtils.h"
 #include "obs/Recorder.h"
 #include "runtime/Frame.h"
-#include "types/Type.h"
 
 #include <sstream>
 
@@ -30,66 +29,22 @@ ClaimTable eal::check::buildClaimTable(const AstContext &Ast,
     Table.NodeLocs.emplace(E->id(), E->loc());
   });
 
-  const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
-  if (!Letrec)
-    return Table;
-
-  std::unordered_map<uint32_t, unsigned> FnArities;
-  std::unordered_map<uint32_t, const LambdaExpr *> FnLambdas;
-  for (const LetrecBinding &B : Letrec->bindings()) {
-    unsigned Arity = lambdaArity(B.Value);
-    if (Arity == 0)
-      continue;
-    FnArities[B.Name.id()] = Arity;
-    FnLambdas[B.Name.id()] = cast<LambdaExpr>(B.Value);
-  }
-
-  // Same discipline as AllocPlanner::run: only top-level-closed calls may
-  // use the plain local test; interior calls get the worst-case-context
-  // variant, with the global test as the fallback for both.
-  auto IsTopLevelClosed = [&](const Expr *Call) {
-    for (Symbol Free : freeVariables(Call))
-      if (!Letrec->findBinding(Free))
-        return false;
-    return true;
-  };
-
-  auto VisitCalls = [&](const Expr *Root) {
-    forEachExpr(Root, [&](const Expr *Node) {
-      std::vector<const Expr *> Args;
-      const Expr *Callee = uncurryCall(Node, Args);
-      const auto *Var = dyn_cast<VarExpr>(Callee);
-      if (!Var || Args.empty())
-        return;
-      auto ArityIt = FnArities.find(Var->name().id());
-      if (ArityIt == FnArities.end() || ArityIt->second != Args.size())
-        return;
-      bool UseLocal = IsTopLevelClosed(Node);
-      for (unsigned I = 0; I != Args.size(); ++I) {
-        if (spineCount(Program.typeOf(Args[I])) == 0)
-          continue;
-        auto Local = UseLocal ? Analyzer.localEscape(Node, I)
-                              : Analyzer.localEscapeInContext(Node, I);
-        if (!Local)
-          Local = Analyzer.globalEscape(Var->name(), I);
-        if (!Local || Local->protectedTopSpines() == 0)
-          continue;
-        CallClaim C;
-        C.CallAppId = Node->id();
-        C.ArgIndex = I;
-        C.ProtectedSpines = Local->protectedTopSpines();
-        C.ParamSpines = Local->ParamSpines;
-        C.Callee = Var->name();
-        C.CalleeLambda = FnLambdas[Var->name().id()];
-        C.CallLoc = Node->loc();
-        Table.add(std::move(C));
-      }
-    });
-  };
-  for (const LetrecBinding &B : Letrec->bindings())
-    VisitCalls(B.Value);
-  VisitCalls(Letrec->body());
-
+  Analyzer.forEachTopLevelCall([&](const TopLevelCall &Call) {
+    for (unsigned I = 0; I != Call.Args.size(); ++I) {
+      std::optional<ParamEscape> Local = Analyzer.callEscape(Call, I);
+      if (!Local || Local->protectedTopSpines() == 0)
+        continue;
+      CallClaim C;
+      C.CallAppId = Call.Node->id();
+      C.ArgIndex = I;
+      C.ProtectedSpines = Local->protectedTopSpines();
+      C.ParamSpines = Local->ParamSpines;
+      C.Callee = Call.Callee->Name;
+      C.CalleeLambda = cast<LambdaExpr>(Call.Callee->Value);
+      C.CallLoc = Call.Node->loc();
+      Table.add(std::move(C));
+    }
+  });
   return Table;
 }
 

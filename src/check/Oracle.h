@@ -9,12 +9,12 @@
 /// The dynamic half of the soundness story. The static analysis promises,
 /// per call site, that the top s−k spines of an argument never escape the
 /// callee's activation (G of §4.1 / L of §4.2); the optimizer spends that
-/// promise on stack arenas, regions, and DCONS. This oracle re-derives
+/// promise on stack arenas, regions, and DCONS. This oracle collects
 /// every such promise as a *claim table* over the final program — the
-/// same saturated-call visitation AllocPlanner::run performs, so every
-/// planner decision is covered even when a knob left the plan empty —
-/// and then, riding the interpreter's ExecutionObserver hooks, checks
-/// each claim against the concrete heap:
+/// verdicts of EscapeAnalyzer::callEscape, the rule AllocPlanner::run
+/// uses, so every planner decision is covered even when a knob left the
+/// plan empty — and then, riding the interpreter's ExecutionObserver
+/// hooks, checks each claim against the concrete heap:
 ///
 ///  * at activation entry, the claimed spine cells of each argument are
 ///    snapshotted by (pointer, AllocSeq) identity;
@@ -77,10 +77,12 @@ struct ClaimTable {
 };
 
 /// Derives the claim table of \p Program (the *final*, transformed
-/// program — \p Analyzer must be built over the same TypedProgram). The
-/// visitation and the local/global test fallback mirror
-/// AllocPlanner::run, so the claims subsume every directive the planner
-/// could emit.
+/// program — \p Analyzer must be built over the same TypedProgram): one
+/// claim per argument of a saturated top-level call whose
+/// EscapeAnalyzer::callEscape verdict protects a spine. The planner
+/// grades by the same rule, so the claims subsume every directive it
+/// could emit; given the optimizer's own analyzer
+/// (OptimizedProgram::FinalAnalyzer), they are its verdicts.
 ClaimTable buildClaimTable(const AstContext &Ast, const TypedProgram &Program,
                            EscapeAnalyzer &Analyzer);
 

@@ -23,8 +23,8 @@ using namespace eal;
 
 namespace {
 
-/// The eal-stats-v1 document (tools/check_stats_json.py-compatible shape;
-/// see docs/OBSERVABILITY.md).
+/// The eal-stats-v1 document (its shape is specified in
+/// docs/OBSERVABILITY.md).
 bool writeStatsJson(const std::string &Path, const std::string &Command,
                     const PipelineResult &R) {
   std::ofstream Out(Path);
@@ -122,35 +122,32 @@ void runPipelineImpl(const std::string &Source,
     return;
 
   // One site classification per run: the EAL-O explanations, the blame
-  // chains, and the EAL-D storage test (D004) must all grade the same
-  // final program the planner consulted, so they can never disagree.
+  // chains, and the EAL-D storage test (D004) grade the final program
+  // with the planner's own analyzer and verdicts, so they can never
+  // disagree with the plan.
+  const TypedProgram &FinalTyped = *R.Optimized->Typed;
+  EscapeAnalyzer &FinalAnalyzer = *R.Optimized->FinalAnalyzer;
   std::vector<explain::SiteInfo> ClassifiedSites;
   bool HaveSites = false;
   auto classifySitesOnce = [&]() -> const std::vector<explain::SiteInfo> & {
     if (!HaveSites) {
-      EscapeAnalyzer Analyzer(*R.Ast, R.Optimized->Typed, *R.Diags, 512,
-                              OptConfig.Analysis);
-      if (R.Prov)
-        Analyzer.attachProvenance(R.Prov.get());
-      ClassifiedSites = explain::classifySites(*R.Ast, R.Optimized->Typed,
-                                               Analyzer, R.Optimized->Plan);
+      ClassifiedSites = explain::classifySites(
+          *R.Ast, FinalTyped, FinalAnalyzer, R.Optimized->Plan);
       HaveSites = true;
     }
     return ClassifiedSites;
   };
 
   if (Options.RunLint || Options.RunExplain) {
-    // The blocked-allocation explanations grade the *final* program: the
-    // analyzer must agree with the one the planner consulted.
     obs::rec::PhaseScope T(&R.PhaseMicros, "explain");
     const std::vector<explain::SiteInfo> &Sites = classifySitesOnce();
     if (Options.RunLint)
-      check::explainBlockedAllocations(*R.Ast, R.Optimized->Typed, Sites,
+      check::explainBlockedAllocations(*R.Ast, FinalTyped, Sites,
                                        R.Optimized->Reuse,
                                        R.Optimized->FinalEscape,
                                        R.Prov.get(), *R.Check);
     if (Options.RunExplain)
-      R.Explain = explain::buildExplainReport(*R.Ast, R.Optimized->Typed,
+      R.Explain = explain::buildExplainReport(*R.Ast, FinalTyped,
                                               Sites, *R.Prov);
     T.span().arg("sites", static_cast<uint64_t>(Sites.size()));
     T.span().arg("facts", static_cast<uint64_t>(R.Prov->numFacts()));
@@ -162,7 +159,7 @@ void runPipelineImpl(const std::string &Source,
     // tags. Strictly observational: nothing downstream consults the
     // report unless LiveGcPrune arms the GC consumer.
     obs::rec::PhaseScope T(&R.PhaseMicros, "liveness");
-    live::LiveAnalyzer LA(*R.Ast, R.Optimized->Root, &R.Optimized->Typed);
+    live::LiveAnalyzer LA(*R.Ast, R.Optimized->Root, &FinalTyped);
     if (R.Prov)
       LA.attachProvenance(R.Prov.get());
     R.Live = LA.run();
@@ -171,7 +168,7 @@ void runPipelineImpl(const std::string &Source,
       for (std::string_view Name : stdlibBindingNames())
         LLO.ExemptContexts.emplace_back(Name);
     check::lintLiveness(*R.Ast, *R.Live, classifySitesOnce(),
-                        &R.Optimized->Typed, R.Prov.get(), LLO, *R.Check);
+                        &FinalTyped, R.Prov.get(), LLO, *R.Check);
     T.span().arg("rounds", static_cast<uint64_t>(R.Live->Rounds));
     T.span().arg("sites", static_cast<uint64_t>(R.Live->Sites.size()));
     T.span().arg("dead", static_cast<uint64_t>(R.Live->deadSiteCount()));
@@ -213,7 +210,7 @@ void runPipelineImpl(const std::string &Source,
       Interpreter::Options PreOpts = Options.Run;
       PreOpts.Observer = &PreProfile;
       PreOpts.Spec = &Branches;
-      Interpreter Pre(*R.Ast, R.Optimized->Typed, &R.Optimized->Plan,
+      Interpreter Pre(*R.Ast, FinalTyped, &R.Optimized->Plan,
                       PreDiags, PreOpts);
       PreValue = Options.UseLargeStack ? Pre.runOnLargeStack() : Pre.run();
       T.span().arg("branches",
@@ -254,10 +251,8 @@ void runPipelineImpl(const std::string &Source,
     // validation.
     Engine = ExecutionEngine::TreeWalker;
     RunOpts.ValidateArenaFrees = true;
-    EscapeAnalyzer Analyzer(*R.Ast, R.Optimized->Typed, *R.Diags, 512,
-                            OptConfig.Analysis);
     R.Oracle = std::make_unique<check::EscapeOracle>(
-        *R.Ast, check::buildClaimTable(*R.Ast, R.Optimized->Typed, Analyzer));
+        *R.Ast, check::buildClaimTable(*R.Ast, FinalTyped, FinalAnalyzer));
     T.span().arg("claims", static_cast<uint64_t>(R.Oracle->claimCount()));
   }
   if (Options.RunLiveOracle) {
@@ -309,7 +304,7 @@ void runPipelineImpl(const std::string &Source,
       R.Stats = R.TheVm->stats();
     } else {
       T.span().arg("engine", "tree-walker");
-      R.Interp = std::make_unique<Interpreter>(*R.Ast, R.Optimized->Typed,
+      R.Interp = std::make_unique<Interpreter>(*R.Ast, FinalTyped,
                                                ExecPlan, *R.Diags, RunOpts);
       if (R.LiveDeadSites)
         R.Interp->heap().setDeadSites(R.LiveDeadSites.get());

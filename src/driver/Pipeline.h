@@ -182,6 +182,10 @@ struct PipelineResult {
   const Expr *ParsedRoot = nullptr;
   /// Types of the original program.
   std::optional<TypedProgram> Typed;
+  /// The why-provenance graph (present iff RunLint or RunExplain was
+  /// set; the analyses recorded into it during optimization). Declared
+  /// before Optimized, whose final analyzer records into it.
+  std::unique_ptr<explain::ProvenanceRecorder> Prov;
   /// Analysis + transformation output (valid once parsing/typing
   /// succeeded).
   std::optional<OptimizedProgram> Optimized;
@@ -206,9 +210,6 @@ struct PipelineResult {
   /// Lint findings and/or the oracle cross-check report (present iff
   /// RunLint or RunOracle was set).
   std::optional<check::CheckReport> Check;
-  /// The why-provenance graph (present iff RunLint or RunExplain was
-  /// set; the analyses recorded into it during optimization).
-  std::unique_ptr<explain::ProvenanceRecorder> Prov;
   /// Blame chains for every allocation site of the final program
   /// (present iff RunExplain was set; references *Prov).
   std::optional<explain::ExplainReport> Explain;
@@ -230,8 +231,9 @@ struct PipelineResult {
 
   /// Wall time of each pipeline phase in run order, as {name, µs}. The
   /// "lex" entry appears only when tracing is enabled (a counting
-  /// pre-pass; parsing lexes on the fly); "escape"/"sharing"/"plan"
-  /// entries come from inside the "optimize" phase and overlap it.
+  /// pre-pass; parsing lexes on the fly); "escape", "sharing", "retype",
+  /// "final-escape" and "plan" come from inside the "optimize" phase and
+  /// overlap it.
   obs::PhaseTimer::PhaseTimes PhaseMicros;
 
   /// Failures of the ObservabilityOptions exports ("cannot write

@@ -12,6 +12,7 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -739,6 +740,63 @@ ProgramEscapeReport EscapeAnalyzer::analyzeProgram() {
                     static_cast<uint64_t>(Report.DistinctValues));
   }
   return Report;
+}
+
+//===----------------------------------------------------------------------===//
+// Call-site verdicts
+//===----------------------------------------------------------------------===//
+
+std::optional<TopLevelCall> EscapeAnalyzer::topLevelCall(const Expr *Node) {
+  const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
+  if (!Letrec)
+    return std::nullopt;
+  TopLevelCall Call;
+  Call.Node = Node;
+  const auto *Var = dyn_cast<VarExpr>(uncurryCall(Node, Call.Args));
+  if (!Var || Call.Args.empty())
+    return std::nullopt;
+  Call.Callee = Letrec->findBinding(Var->name());
+  if (!Call.Callee || lambdaArity(Call.Callee->Value) != Call.Args.size())
+    return std::nullopt;
+  return Call;
+}
+
+void EscapeAnalyzer::forEachTopLevelCall(
+    const std::function<void(const TopLevelCall &)> &Visit) {
+  const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
+  if (!Letrec)
+    return;
+  auto VisitCalls = [&](const Expr *Root) {
+    forEachExpr(Root, [&](const Expr *Node) {
+      if (std::optional<TopLevelCall> Call = topLevelCall(Node))
+        Visit(*Call);
+    });
+  };
+  for (const LetrecBinding &B : Letrec->bindings())
+    VisitCalls(B.Value);
+  VisitCalls(Letrec->body());
+}
+
+std::optional<ParamEscape> EscapeAnalyzer::callEscape(const TopLevelCall &Call,
+                                                      unsigned ArgIndex) {
+  if (spineCount(Program.typeOf(Call.Args[ArgIndex])) == 0)
+    return std::nullopt;
+  uint64_t Key = (static_cast<uint64_t>(Call.Node->id()) << 32) | ArgIndex;
+  auto It = CallVerdicts.find(Key);
+  if (It != CallVerdicts.end())
+    return It->second;
+
+  const auto *Letrec = cast<LetrecExpr>(Program.root());
+  const std::vector<Symbol> &Free = freeVarsOf(Call.Node);
+  bool TopLevelClosed = std::all_of(Free.begin(), Free.end(), [&](Symbol S) {
+    return Letrec->findBinding(S) != nullptr;
+  });
+  std::optional<ParamEscape> Verdict =
+      TopLevelClosed ? localEscape(Call.Node, ArgIndex)
+                     : localEscapeInContext(Call.Node, ArgIndex);
+  if (!Verdict)
+    Verdict = globalEscape(Call.Callee->Name, ArgIndex);
+  return CallVerdicts.emplace(Key, Verdict).first->second;
 }
 
 //===----------------------------------------------------------------------===//

@@ -124,6 +124,16 @@ enum class EscapeAnalysisMode {
   WholeObject,
 };
 
+/// A saturated call of a top-level function binding: the call sites whose
+/// arguments the optimizer and its checkers grade (§4.2).
+struct TopLevelCall {
+  /// Outermost AppExpr of the call spine.
+  const Expr *Node = nullptr;
+  /// The callee's top-level binding (a lambda of arity Args.size()).
+  const LetrecBinding *Callee = nullptr;
+  std::vector<const Expr *> Args;
+};
+
 /// Evaluates the abstract escape semantics over one typed program and
 /// answers escape queries.
 class EscapeAnalyzer {
@@ -162,6 +172,30 @@ public:
   /// Runs the global test on every parameter of every top-level function
   /// binding.
   ProgramEscapeReport analyzeProgram();
+
+  //===--- Call-site verdicts ----------------------------------------------==//
+  // The one rule by which the allocation planner, the site classifier and
+  // the escape oracle's claim table grade call arguments.
+
+  /// Describes \p Node if it is a saturated call of a top-level function
+  /// binding: a variable callee naming the binding, applied to exactly
+  /// as many arguments as the binding has leading lambdas.
+  std::optional<TopLevelCall> topLevelCall(const Expr *Node);
+
+  /// Visits every saturated top-level call, preorder, in each top-level
+  /// binding's value and then in the program body.
+  void forEachTopLevelCall(
+      const std::function<void(const TopLevelCall &)> &Visit);
+
+  /// The verdict on argument \p ArgIndex of \p Call: the local test L when
+  /// every free variable of the call is a top-level binding (its
+  /// arguments are evaluated in the top-level environment), the in-context
+  /// variant for a call inside a function body, and the global test G when
+  /// either gives up. Nullopt for an argument without list spines: there
+  /// is nothing to grade. Memoized per (call, argument), so every client
+  /// of one analyzer sees the verdicts, and provenance facts, of the first.
+  std::optional<ParamEscape> callEscape(const TopLevelCall &Call,
+                                        unsigned ArgIndex);
 
   /// Evaluates \p E in the top-level environment and returns its value.
   /// Exposed for tests and for clients composing custom queries.
@@ -268,6 +302,8 @@ private:
   /// (letrec inst, binding index) -> value, ⊥-seeded.
   std::unordered_map<uint64_t, CacheEntry> BindingCache;
   std::unordered_map<uint32_t, std::vector<Symbol>> FreeVarCache;
+  /// (call node, argument) -> callEscape verdict.
+  std::unordered_map<uint64_t, std::optional<ParamEscape>> CallVerdicts;
 
   /// Nesting depth of in-flight closure applications, and the budget
   /// past which applyAtom widens instead of evaluating the body. The

@@ -34,7 +34,8 @@ const char *explain::siteStorageName(SiteStorage S) {
 }
 
 //===----------------------------------------------------------------------===//
-// Site classification (the linter's walk, verbatim)
+// Site classification (the EAL-O linter's walk; call verdicts from
+// EscapeAnalyzer::callEscape, the planner's rule)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -64,17 +65,10 @@ public:
     for (const ArgArenaDirective &D : Plan.Directives)
       for (const auto &[Id, Class] : D.Sites)
         Planned.emplace(Id, PlannedSite{Class, D.ProvenanceRef, D.Callee});
-    const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
-    if (!Letrec)
-      return;
-    TopLetrec = Letrec;
-    for (const LetrecBinding &B : Letrec->bindings())
-      if (unsigned Arity = lambdaArity(B.Value))
-        FnArities[B.Name.id()] = Arity;
   }
 
   void run() {
-    const auto *Letrec = TopLetrec;
+    const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
     if (!Letrec) {
       walk(Program.root(), SiteContext());
       return;
@@ -165,20 +159,13 @@ private:
         return;
       }
       walk(Callee, SiteContext());
-      const auto *Var = dyn_cast<VarExpr>(Callee);
-      auto ArityIt = Var ? FnArities.find(Var->name().id()) : FnArities.end();
-      bool KnownSaturated =
-          ArityIt != FnArities.end() && ArityIt->second == Args.size();
+      std::optional<TopLevelCall> Call = Analyzer.topLevelCall(E);
       for (unsigned I = 0; I != Args.size(); ++I) {
         SiteContext ArgCtx;
         if (spineCount(Program.typeOf(Args[I])) > 0) {
-          if (KnownSaturated) {
-            auto Local = topLevelClosed(E)
-                             ? Analyzer.localEscape(E, I)
-                             : Analyzer.localEscapeInContext(E, I);
-            if (!Local)
-              Local = Analyzer.globalEscape(Var->name(), I);
-            ArgCtx.Callee = Var->name();
+          if (Call) {
+            std::optional<ParamEscape> Local = Analyzer.callEscape(*Call, I);
+            ArgCtx.Callee = Call->Callee->Name;
             ArgCtx.ArgIndex = I;
             ArgCtx.CallLoc = E->loc();
             if (Local)
@@ -202,19 +189,9 @@ private:
     }
   }
 
-  bool topLevelClosed(const Expr *Call) {
-    if (!TopLetrec)
-      return false;
-    for (Symbol Free : freeVariables(Call))
-      if (!TopLetrec->findBinding(Free))
-        return false;
-    return true;
-  }
-
   const TypedProgram &Program;
   EscapeAnalyzer &Analyzer;
   std::vector<SiteInfo> &Out;
-  const LetrecExpr *TopLetrec = nullptr;
   /// One covering directive per planned site.
   struct PlannedSite {
     ArenaSiteClass Class;
@@ -222,7 +199,6 @@ private:
     Symbol Owner;
   };
   std::unordered_map<uint32_t, PlannedSite> Planned;
-  std::unordered_map<uint32_t, unsigned> FnArities;
 };
 
 } // namespace

@@ -88,8 +88,9 @@ struct SiteInfo {
 /// Walks the final program (every top-level binding body, then the
 /// program body) and classifies every cons/mkpair site: its storage under
 /// \p Plan and the escape-test context of its position. \p Analyzer must
-/// wrap the same program; verdicts are queried through it, so a recorder
-/// attached to it yields VerdictProv anchors.
+/// wrap the same program; call verdicts come from its callEscape (the
+/// planner's rule), so a recorder attached to it yields VerdictProv
+/// anchors, and the planner's own analyzer yields the planner's facts.
 std::vector<SiteInfo> classifySites(const AstContext &Ast,
                                     const TypedProgram &Program,
                                     EscapeAnalyzer &Analyzer,

@@ -76,129 +76,74 @@ void AllocPlanner::attribute(const Expr *E, unsigned Level, unsigned MaxLevel,
         attribute(Args[0], Level, MaxLevel, Class, Out);
       return;
     }
-    if (Options.EnableRegion) {
-      if (const auto *Var = dyn_cast<VarExpr>(Callee)) {
-        auto ArityIt = FnArities.find(Var->name().id());
-        if (ArityIt != FnArities.end() && ArityIt->second == Args.size())
-          attributeCallee(Var->name(), Level, MaxLevel, Out);
-      }
-    }
+    if (Options.EnableRegion)
+      if (std::optional<TopLevelCall> Call = Analyzer.topLevelCall(E))
+        attributeCallee(*Call, Level, MaxLevel, Out);
     return;
   }
   }
 }
 
-void AllocPlanner::attributeCallee(Symbol Fn, unsigned Level,
+void AllocPlanner::attributeCallee(const TopLevelCall &Call, unsigned Level,
                                    unsigned MaxLevel,
                                    ArgArenaDirective &Out) {
   if (Level > MaxLevel)
     return;
-  uint64_t Key = (static_cast<uint64_t>(Fn.id()) << 8) | Level;
+  uint64_t Key = (static_cast<uint64_t>(Call.Callee->Name.id()) << 8) | Level;
   if (!VisitedCallees.insert(Key).second)
     return;
-  auto It = FnBodies.find(Fn.id());
-  if (It == FnBodies.end())
-    return;
   // The producer's result feeds this spine level: its spine-building
-  // sites are the ones reachable in result position.
-  attribute(It->second, Level, MaxLevel, ArenaSiteClass::Region, Out);
+  // sites are the ones reachable in result position of its body.
+  const Expr *Body = Call.Callee->Value;
+  for (size_t I = 0; I != Call.Args.size(); ++I)
+    Body = cast<LambdaExpr>(Body)->body();
+  attribute(Body, Level, MaxLevel, ArenaSiteClass::Region, Out);
 }
 
 AllocationPlan AllocPlanner::run() {
   AllocationPlan Plan;
-  const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
-  if (!Letrec)
-    return Plan;
-
-  for (const LetrecBinding &B : Letrec->bindings()) {
-    unsigned Arity = lambdaArity(B.Value);
-    if (Arity == 0)
-      continue;
-    FnArities[B.Name.id()] = Arity;
-    const Expr *Body = B.Value;
-    for (unsigned I = 0; I != Arity; ++I)
-      Body = cast<LambdaExpr>(Body)->body();
-    FnBodies[B.Name.id()] = Body;
-  }
-
-  // Only calls whose free variables are all top-level bindings can use
-  // the local escape test (its arguments are evaluated in the top-level
-  // environment); other calls fall back to the global test, which is
-  // sound for any context.
-  auto IsTopLevelClosed = [&](const Expr *Call) {
-    for (Symbol Free : freeVariables(Call))
-      if (!Letrec->findBinding(Free))
-        return false;
-    return true;
-  };
-
-  // Visit every saturated call of a top-level function, in every binding
-  // body and the program body.
-  auto VisitCalls = [&](const Expr *Root) {
-    forEachExpr(Root, [&](const Expr *Node) {
-      std::vector<const Expr *> Args;
-      const Expr *Callee = uncurryCall(Node, Args);
-      const auto *Var = dyn_cast<VarExpr>(Callee);
-      if (!Var || Args.empty())
-        return;
-      auto ArityIt = FnArities.find(Var->name().id());
-      if (ArityIt == FnArities.end() || ArityIt->second != Args.size())
-        return;
-      bool UseLocal = IsTopLevelClosed(Node);
-      for (unsigned I = 0; I != Args.size(); ++I) {
-        if (spineCount(Program.typeOf(Args[I])) == 0)
-          continue;
-        // Top-level-closed calls get the plain local test; interior
-        // calls get the worst-case-context variant, falling back to the
-        // global test when that gives up.
-        auto Local = UseLocal ? Analyzer.localEscape(Node, I)
-                              : Analyzer.localEscapeInContext(Node, I);
-        if (!Local)
-          Local = Analyzer.globalEscape(Var->name(), I);
-        if (!Local || Local->protectedTopSpines() == 0)
-          continue;
-        ArgArenaDirective D;
-        D.CallAppId = Node->id();
-        D.ArgIndex = I;
-        D.Callee = Var->name();
-        D.ProtectedSpines = Local->protectedTopSpines();
-        attribute(Args[I], 1, D.ProtectedSpines, ArenaSiteClass::Stack, D);
-        VisitedCallees.clear();
+  Analyzer.forEachTopLevelCall([&](const TopLevelCall &Call) {
+    for (unsigned I = 0; I != Call.Args.size(); ++I) {
+      std::optional<ParamEscape> Local = Analyzer.callEscape(Call, I);
+      if (!Local || Local->protectedTopSpines() == 0)
+        continue;
+      ArgArenaDirective D;
+      D.CallAppId = Call.Node->id();
+      D.ArgIndex = I;
+      D.Callee = Call.Callee->Name;
+      D.ProtectedSpines = Local->protectedTopSpines();
+      attribute(Call.Args[I], 1, D.ProtectedSpines, ArenaSiteClass::Stack, D);
+      VisitedCallees.clear();
+      if (D.Sites.empty())
+        continue;
+      if (!Options.EnableStack) {
+        // Drop argument-local (stack) sites when disabled.
+        for (auto It = D.Sites.begin(); It != D.Sites.end();)
+          It = It->second == ArenaSiteClass::Stack ? D.Sites.erase(It)
+                                                   : std::next(It);
         if (D.Sites.empty())
           continue;
-        if (!Options.EnableStack) {
-          // Drop argument-local (stack) sites when disabled.
-          for (auto It = D.Sites.begin(); It != D.Sites.end();)
-            It = It->second == ArenaSiteClass::Stack ? D.Sites.erase(It)
-                                                     : std::next(It);
-          if (D.Sites.empty())
-            continue;
-        }
-        if (Options.Prov) {
-          unsigned NumStack = 0, NumRegion = 0;
-          for (const auto &[Id, Class] : D.Sites)
-            (Class == ArenaSiteClass::Stack ? NumStack : NumRegion) += 1;
-          uint32_t DF = Options.Prov->fresh(
-              explain::FactKind::Decision,
-              "arena directive: argument " + std::to_string(I + 1) +
-                  " of '" + std::string(Ast.spelling(Var->name())) + "'",
-              "stack/region allocation (A.3.1/A.3.3)", Node->loc());
-          Options.Prov->depend(DF, Local->Prov);
-          Options.Prov->result(
-              DF, "top " + std::to_string(D.ProtectedSpines) +
-                      " spine(s) protected; " + std::to_string(NumStack) +
-                      " stack site(s), " + std::to_string(NumRegion) +
-                      " region site(s)");
-          D.ProvenanceRef = DF;
-        }
-        Plan.Directives.push_back(std::move(D));
       }
-    });
-  };
-  for (const LetrecBinding &B : Letrec->bindings())
-    VisitCalls(B.Value);
-  VisitCalls(Letrec->body());
-
+      if (Options.Prov) {
+        unsigned NumStack = 0, NumRegion = 0;
+        for (const auto &[Id, Class] : D.Sites)
+          (Class == ArenaSiteClass::Stack ? NumStack : NumRegion) += 1;
+        uint32_t DF = Options.Prov->fresh(
+            explain::FactKind::Decision,
+            "arena directive: argument " + std::to_string(I + 1) + " of '" +
+                std::string(Ast.spelling(D.Callee)) + "'",
+            "stack/region allocation (A.3.1/A.3.3)", Call.Node->loc());
+        Options.Prov->depend(DF, Local->Prov);
+        Options.Prov->result(
+            DF, "top " + std::to_string(D.ProtectedSpines) +
+                    " spine(s) protected; " + std::to_string(NumStack) +
+                    " stack site(s), " + std::to_string(NumRegion) +
+                    " region site(s)");
+        D.ProvenanceRef = DF;
+      }
+      Plan.Directives.push_back(std::move(D));
+    }
+  });
   Plan.index();
   return Plan;
 }

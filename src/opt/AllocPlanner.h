@@ -124,14 +124,15 @@ struct AllocPlannerOptions {
   explain::ProvenanceRecorder *Prov = nullptr;
 };
 
-/// Computes an AllocationPlan for a typed program, using per-call local
-/// escape tests from \p Analyzer (which must wrap the same program).
+/// Computes an AllocationPlan for a typed program from the per-argument
+/// call verdicts of \p Analyzer (EscapeAnalyzer::callEscape), which must
+/// wrap that program: the analyzer alone is consulted.
 class AllocPlanner {
 public:
-  AllocPlanner(const AstContext &Ast, const TypedProgram &Program,
+  AllocPlanner(const AstContext &Ast, const TypedProgram & /*Program*/,
                EscapeAnalyzer &Analyzer,
                AllocPlannerOptions Options = AllocPlannerOptions())
-      : Ast(Ast), Program(Program), Analyzer(Analyzer), Options(Options) {}
+      : Ast(Ast), Analyzer(Analyzer), Options(Options) {}
 
   AllocationPlan run();
 
@@ -141,19 +142,15 @@ private:
   void attribute(const Expr *E, unsigned Level, unsigned MaxLevel,
                  ArenaSiteClass Class, ArgArenaDirective &Out);
 
-  /// Attributes spine-building sites inside the body of the top-level
-  /// function \p Fn whose result feeds spine level \p Level.
-  void attributeCallee(Symbol Fn, unsigned Level, unsigned MaxLevel,
-                       ArgArenaDirective &Out);
+  /// Attributes spine-building sites inside the body of the callee of
+  /// \p Call, whose result feeds spine level \p Level.
+  void attributeCallee(const TopLevelCall &Call, unsigned Level,
+                       unsigned MaxLevel, ArgArenaDirective &Out);
 
   const AstContext &Ast;
-  const TypedProgram &Program;
   EscapeAnalyzer &Analyzer;
   AllocPlannerOptions Options;
 
-  /// Innermost bodies of top-level bindings, by symbol id.
-  std::unordered_map<uint32_t, const Expr *> FnBodies;
-  std::unordered_map<uint32_t, unsigned> FnArities;
   /// (fn symbol id, level) pairs already attributed, to cut recursion.
   std::unordered_set<uint64_t> VisitedCallees;
 };

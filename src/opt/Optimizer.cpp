@@ -160,9 +160,9 @@ eal::optimizeProgram(AstContext &Ast, TypeContext &Types,
     T.span().arg("reuse", std::string_view("off"));
   }
 
-  // Phase 3: re-type and re-analyze the final program. (When reuse did
-  // nothing the AST is unchanged, but re-inference is cheap and keeps the
-  // invariant that Out.Typed covers Out.Root.)
+  // Phase 3: re-type and re-analyze the final program. Re-inference runs
+  // even when reuse changed nothing, because Out.Typed must cover
+  // Out.Root; it is not cheap (about the cost of the first inference).
   Out.Root = FinalRoot;
   {
     obs::PhaseTimer T(PhaseMicrosOut, "retype");
@@ -173,13 +173,18 @@ eal::optimizeProgram(AstContext &Ast, TypeContext &Types,
                   "internal error: transformed program failed to typecheck");
       return std::nullopt;
     }
-    Out.Typed = std::move(*Retyped);
+    Out.Typed = std::make_unique<TypedProgram>(std::move(*Retyped));
   }
-
-  EscapeAnalyzer FinalAnalyzer(Ast, Out.Typed, Diags, 512, Config.Analysis);
-  if (Config.Explain)
-    FinalAnalyzer.attachProvenance(Config.Explain);
-  Out.FinalEscape = FinalAnalyzer.analyzeProgram();
+  {
+    obs::PhaseTimer T(PhaseMicrosOut, "final-escape");
+    Out.FinalAnalyzer = std::make_unique<EscapeAnalyzer>(
+        Ast, *Out.Typed, Diags, 512, Config.Analysis);
+    if (Config.Explain)
+      Out.FinalAnalyzer->attachProvenance(Config.Explain);
+    Out.FinalEscape = Out.FinalAnalyzer->analyzeProgram();
+    T.span().arg("fixpoint_rounds",
+                 static_cast<uint64_t>(Out.FinalEscape.FixpointRounds));
+  }
 
   // Phase 4: allocation planning on the final program.
   if (Config.EnableStack || Config.EnableRegion) {
@@ -188,7 +193,7 @@ eal::optimizeProgram(AstContext &Ast, TypeContext &Types,
     PO.EnableStack = Config.EnableStack;
     PO.EnableRegion = Config.EnableRegion;
     PO.Prov = Config.Explain;
-    AllocPlanner Planner(Ast, Out.Typed, FinalAnalyzer, PO);
+    AllocPlanner Planner(Ast, *Out.Typed, *Out.FinalAnalyzer, PO);
     Out.Plan = Planner.run();
     T.span().arg("directives",
                  static_cast<uint64_t>(Out.Plan.Directives.size()));

@@ -16,7 +16,10 @@
 ///
 /// The output carries everything the runtime needs: the final AST, its
 /// typed program, and the allocation plan, plus the analysis reports for
-/// display.
+/// display. It also keeps the final program's escape analyzer, so the
+/// clients that grade the same program later (the site classifier, the
+/// oracle's claim table) read the verdicts the planner acted on instead
+/// of re-deriving them: one escape analysis per program version.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,13 +55,21 @@ struct OptimizerConfig {
   explain::ProvenanceRecorder *Explain = nullptr;
 };
 
-/// Everything the pipeline produces.
+/// Everything the pipeline produces. Movable: FinalAnalyzer refers to
+/// *Typed, and both live on the heap, so their addresses survive a move.
 struct OptimizedProgram {
   /// The final AST (transformed, or the original root if reuse was
   /// disabled / found nothing).
   const Expr *Root = nullptr;
   /// Types for the final AST.
-  TypedProgram Typed;
+  std::unique_ptr<TypedProgram> Typed;
+  /// The escape analyzer over *Typed, with its memo tables and call
+  /// verdicts (EscapeAnalyzer::callEscape). The planner consulted it;
+  /// later clients grading the final program must query it too. It
+  /// references the AstContext and DiagnosticEngine passed to
+  /// optimizeProgram and the config's provenance recorder, which must
+  /// outlive it.
+  std::unique_ptr<EscapeAnalyzer> FinalAnalyzer;
   /// Escape report for the *original* program (what the paper tabulates).
   ProgramEscapeReport BaseEscape;
   /// Escape report for the final program (drives the allocation plan).
@@ -72,7 +83,7 @@ struct OptimizedProgram {
 /// Runs the pipeline. Returns nullopt after reporting diagnostics if the
 /// transformed program fails to re-typecheck (an internal error).
 /// \p PhaseMicrosOut, when non-null, receives {phase, µs} wall times for
-/// the internal phases (escape, sharing, retype, plan).
+/// the internal phases (escape, sharing, retype, final-escape, plan).
 std::optional<OptimizedProgram>
 optimizeProgram(AstContext &Ast, TypeContext &Types,
                 const TypedProgram &Program, DiagnosticEngine &Diags,

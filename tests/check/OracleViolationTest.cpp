@@ -46,9 +46,8 @@ void runWithPlantedClaim(OracleRun &R, unsigned ArgIndex) {
   R.Opt = optimizeProgram(R.F.Ast, R.F.Types, *R.F.Typed, R.F.Diags, Opt);
   ASSERT_TRUE(R.Opt.has_value()) << R.F.diagText();
 
-  EscapeAnalyzer Analyzer(R.F.Ast, R.Opt->Typed, R.F.Diags);
-  check::ClaimTable Table =
-      check::buildClaimTable(R.F.Ast, R.Opt->Typed, Analyzer);
+  check::ClaimTable Table = check::buildClaimTable(
+      R.F.Ast, *R.Opt->Typed, *R.Opt->FinalAnalyzer);
   R.Oracle = std::make_unique<check::EscapeOracle>(R.F.Ast, std::move(Table));
 
   // The outermost application of the letrec body is the append call.
@@ -72,7 +71,7 @@ void runWithPlantedClaim(OracleRun &R, unsigned ArgIndex) {
   Interpreter::Options RO;
   RO.ValidateArenaFrees = true;
   RO.Observer = R.Oracle.get();
-  R.Interp = std::make_unique<Interpreter>(R.F.Ast, R.Opt->Typed,
+  R.Interp = std::make_unique<Interpreter>(R.F.Ast, *R.Opt->Typed,
                                            &R.Opt->Plan, R.F.Diags, RO);
   R.Value = R.Interp->runOnLargeStack();
   if (R.Oracle)

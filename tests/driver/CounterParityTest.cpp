@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -139,8 +140,32 @@ TEST_F(PipelineTraceTest, TracedRunEmitsAllSevenPhaseSpans) {
   for (const auto &[Name, Micros] : R.PhaseMicros)
     Ledger.insert(Name);
   for (const char *Phase : {"lex", "parse", "type-inference", "escape",
-                            "sharing", "optimize", "execute"})
+                            "sharing", "optimize", "final-escape", "execute"})
     EXPECT_TRUE(Ledger.count(Phase)) << "missing phase time: " << Phase;
+}
+
+TEST_F(PipelineTraceTest, OptimizeSubphasesCoverOptimize) {
+  // Every layer inside "optimize" has its own timer, so together they
+  // account for nearly all of it. Best of three runs: a preemption that
+  // lands between two timers is noise, not an untimed layer.
+  double Best = 0;
+  for (int Run = 0; Run != 3; ++Run) {
+    PipelineResult R = runPipeline(
+        sortProgram(), engineOptions(ExecutionEngine::TreeWalker, true));
+    ASSERT_TRUE(R.Success) << R.diagnostics();
+    int64_t Optimize = 0, Subphases = 0;
+    for (const auto &[Name, Micros] : R.PhaseMicros) {
+      if (Name == "optimize")
+        Optimize = Micros;
+      else if (Name == "escape" || Name == "sharing" || Name == "retype" ||
+               Name == "final-escape" || Name == "plan")
+        Subphases += Micros;
+    }
+    ASSERT_GT(Optimize, 0);
+    Best = std::max(Best, static_cast<double>(Subphases) /
+                              static_cast<double>(Optimize));
+  }
+  EXPECT_GE(Best, 0.9);
 }
 
 TEST_F(PipelineTraceTest, UntracedRunRecordsNothing) {

@@ -16,11 +16,13 @@
 #include "TestUtil.h"
 #include "driver/Pipeline.h"
 #include "escape/EscapeAnalyzer.h"
+#include "lang/AstUtils.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 
 using namespace eal;
@@ -261,6 +263,38 @@ TEST(ExplainReport, LintFindingsCarryBlame) {
   // append's escaping argument draws an EAL-O001, and with the recorder
   // attached its blame chain must be populated.
   EXPECT_TRUE(SawEscapeBlame) << R.Check->render(*R.SM);
+}
+
+TEST(ExplainReport, EachLocalQueryIsRecordedOnce) {
+  // The planner and the site classifier grade the final program with one
+  // analyzer, so the L query on one argument of one call is one fact, not
+  // one per client. Reuse versions clone bodies with their source
+  // locations, so a (label, location) pair may name several calls: it
+  // must appear once per call that carries it.
+  PipelineResult R = runExplain(partitionSortSource());
+  ASSERT_TRUE(R.Success) << R.diagnostics();
+  ASSERT_NE(R.Prov, nullptr);
+  using Key = std::pair<std::string, uint32_t>;
+  std::map<Key, unsigned> Facts, Calls;
+  for (const Fact &F : R.Prov->facts())
+    if (F.Kind == FactKind::Query && F.Label.rfind("L(", 0) == 0)
+      ++Facts[{F.Label, F.Loc.offset()}];
+  const auto *Letrec = dyn_cast<LetrecExpr>(R.Optimized->Root);
+  ASSERT_NE(Letrec, nullptr);
+  forEachExpr(Letrec, [&](const Expr *E) {
+    std::vector<const Expr *> Args;
+    const auto *Var = dyn_cast<VarExpr>(uncurryCall(E, Args));
+    const LetrecBinding *B = Var ? Letrec->findBinding(Var->name()) : nullptr;
+    if (!B || Args.empty() || lambdaArity(B->Value) != Args.size())
+      return;
+    for (unsigned I = 0; I != Args.size(); ++I)
+      ++Calls[{"L(" + std::string(R.Ast->spelling(B->Name)) + ", " +
+                   std::to_string(I + 1) + ")",
+               E->loc().offset()}];
+  });
+  ASSERT_FALSE(Facts.empty());
+  for (const auto &[K, N] : Facts)
+    EXPECT_EQ(N, Calls[K]) << K.first << " at offset " << K.second;
 }
 
 TEST(ExplainReport, RecorderAbsentUnlessRequested) {

@@ -67,6 +67,7 @@ run_config() {
   (cd "$dir" && ctest --output-on-failure -j "$JOBS" -LE tier2)
   if [ "$name" = asan ]; then
     explain_smoke "$dir"
+    check_smoke "$dir"
     live_smoke "$dir"
     live_oracle_smoke "$dir"
     spec_smoke "$dir"
@@ -101,6 +102,29 @@ explain_smoke() {
     "$dir/tools/eal" explain "$example" $flags --explain-json="$json" \
         >/dev/null
     python3 "$REPO/tools/check_explain_json.py" "$json"
+  done
+}
+
+# Escape-oracle smoke: `eal check --oracle --live-oracle` over every
+# shipped example under ASan, each run round-tripping --check-json
+# through the eal-check-v1 schema checker (docs/CHECKING.md). Here one
+# escape analyzer, kept in the optimizer's result, serves the planner,
+# the site classifier and the oracle's claim table, so a reference that
+# outlives what it points into surfaces here.
+check_smoke() {
+  local dir="$1"
+  echo "=== [asan] eal check --oracle --live-oracle over examples/nml (+ schema check)"
+  local example flags json
+  for example in "$REPO"/examples/nml/*.nml; do
+    flags=""
+    case "$(basename "$example")" in
+    stats.nml) flags="--stdlib" ;;
+    esac
+    json="$dir/check-$(basename "$example" .nml).json"
+    # shellcheck disable=SC2086
+    "$dir/tools/eal" check "$example" $flags --oracle --live-oracle \
+        --check-json="$json" >/dev/null
+    python3 "$REPO/tools/check_findings_json.py" "$json"
   done
 }
 
