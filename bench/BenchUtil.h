@@ -122,7 +122,7 @@ inline PipelineOptions config(bool Reuse, bool Stack, bool Region,
 //===----------------------------------------------------------------------===//
 
 /// One measured configuration in a bench's JSON report (schema
-/// eal-bench-v1, validated by tools/check_bench_json.py).
+/// eal-bench-v1, validated by tools/check_json.py).
 struct BenchRecord {
   /// Configuration label, e.g. "sort_literal/n=64/stack=on".
   std::string Name;

@@ -10,7 +10,7 @@
 /// dynamic escape oracle (Oracle.h): a list of coded findings plus the
 /// oracle's classification counters and soundness violations. Renderable
 /// as human-readable text and as the `eal-check-v1` JSON schema
-/// (validated by tools/check_findings_json.py, documented in
+/// (validated by tools/check_json.py, documented in
 /// docs/CHECKING.md).
 ///
 //===----------------------------------------------------------------------===//

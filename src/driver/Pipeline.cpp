@@ -278,45 +278,59 @@ void runPipelineImpl(const std::string &Source,
     R.LiveDeadSites = std::make_unique<std::unordered_set<uint32_t>>(
         R.Live->deadSites());
 
+  // "execute" nests compile (VM only), heap-init and run, the way the
+  // analysis layers nest inside "optimize".
   {
     obs::rec::PhaseScope T(&R.PhaseMicros, "execute");
-    if (Engine == ExecutionEngine::Bytecode) {
-      T.span().arg("engine", "bytecode");
+    const bool OnVm = Engine == ExecutionEngine::Bytecode;
+    T.span().arg("engine", OnVm ? "bytecode" : "tree-walker");
+    if (OnVm) {
+      obs::rec::PhaseScope C(&R.PhaseMicros, "compile");
       R.Code = compileToBytecode(
           *R.Ast, R.Optimized->Root, ExecPlan, *R.Diags,
           R.SpecRT ? &R.SpecPlan->GuardsByBranch : nullptr);
       if (!R.Code)
         return;
-      Vm::Options VO;
-      VO.HeapCapacity = RunOpts.HeapCapacity;
-      VO.AllowHeapGrowth = RunOpts.AllowHeapGrowth;
-      VO.MaxSteps = RunOpts.MaxSteps;
-      VO.ValidateArenaFrees = RunOpts.ValidateArenaFrees;
-      VO.Observer = RunOpts.Observer;
-      VO.Profiler = Profile;
-      VO.Spec = RunOpts.Spec;
-      R.TheVm = std::make_unique<Vm>(*R.Code, *R.Diags, VO);
+    }
+    {
+      obs::rec::PhaseScope H(&R.PhaseMicros, "heap-init");
+      if (OnVm) {
+        Vm::Options VO;
+        VO.HeapCapacity = RunOpts.HeapCapacity;
+        VO.AllowHeapGrowth = RunOpts.AllowHeapGrowth;
+        VO.MaxSteps = RunOpts.MaxSteps;
+        VO.ValidateArenaFrees = RunOpts.ValidateArenaFrees;
+        VO.Observer = RunOpts.Observer;
+        VO.Profiler = Profile;
+        VO.Spec = RunOpts.Spec;
+        R.TheVm = std::make_unique<Vm>(*R.Code, *R.Diags, VO);
+      } else {
+        R.Interp = std::make_unique<Interpreter>(*R.Ast, FinalTyped, ExecPlan,
+                                                 *R.Diags, RunOpts);
+      }
+      Heap &TheHeap = OnVm ? R.TheVm->heap() : R.Interp->heap();
       if (R.LiveDeadSites)
-        R.TheVm->heap().setDeadSites(R.LiveDeadSites.get());
+        TheHeap.setDeadSites(R.LiveDeadSites.get());
       if (R.SpecRT)
-        R.SpecRT->setHeap(&R.TheVm->heap());
-      R.Value = R.TheVm->run();
-      R.Stats = R.TheVm->stats();
-    } else {
-      T.span().arg("engine", "tree-walker");
-      R.Interp = std::make_unique<Interpreter>(*R.Ast, FinalTyped,
-                                               ExecPlan, *R.Diags, RunOpts);
-      if (R.LiveDeadSites)
-        R.Interp->heap().setDeadSites(R.LiveDeadSites.get());
-      if (R.SpecRT)
-        R.SpecRT->setHeap(&R.Interp->heap());
-      if (Profile)
-        Profile->setStepClock(&R.Interp->stats().Steps);
-      R.Value = Options.UseLargeStack ? R.Interp->runOnLargeStack()
-                                      : R.Interp->run();
-      if (Profile)
-        Profile->finish();
-      R.Stats = R.Interp->stats();
+        R.SpecRT->setHeap(&TheHeap);
+    }
+    {
+      obs::rec::PhaseScope Run(&R.PhaseMicros, "run");
+      if (OnVm) {
+        R.Value = R.TheVm->run();
+        R.Stats = R.TheVm->stats();
+      } else {
+        if (Profile)
+          Profile->setStepClock(&R.Interp->stats().Steps);
+        R.Value = Options.UseLargeStack ? R.Interp->runOnLargeStack()
+                                        : R.Interp->run();
+        if (Profile)
+          Profile->finish();
+        R.Stats = R.Interp->stats();
+      }
+      Run.span().arg("steps", R.Stats.Steps);
+      Run.span().arg("applications", R.Stats.Applications);
+      Run.span().arg("heap_cells", R.Stats.HeapCellsAllocated);
     }
     T.span().arg("steps", R.Stats.Steps);
   }

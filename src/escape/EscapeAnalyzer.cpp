@@ -50,6 +50,7 @@ void EscapeAnalyzer::attachProvenance(explain::ProvenanceRecorder *P) {
 
 ValueId EscapeAnalyzer::runToFixpoint(const std::function<ValueId()> &Root) {
   ValueId Result = Store.bottom();
+  const uint64_t BodyEvalsBefore = BodyEvals;
   LastRounds = 0;
   if (Tracing)
     RoundChanges.clear();
@@ -79,6 +80,7 @@ ValueId EscapeAnalyzer::runToFixpoint(const std::function<ValueId()> &Root) {
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry &Reg = obs::globalMetrics();
     Reg.counter("escape.queries").add(1);
+    Reg.counter("escape.body_evals").add(BodyEvals - BodyEvalsBefore);
     Reg.histogram("escape.fixpoint.rounds_per_query").record(LastRounds);
   }
   return Result;
@@ -110,31 +112,29 @@ EnvId EscapeAnalyzer::letrecBodyEnv(LetrecInstId Inst) {
   return Env;
 }
 
-ValueId EscapeAnalyzer::materializeBinding(LetrecInstId Inst, uint32_t Index) {
-  uint64_t Key = (static_cast<uint64_t>(Inst) << 32) | Index;
-  CacheEntry &Entry = BindingCache[Key];
+template <class LabelFn, class EvaluateFn>
+inline std::optional<bool> EscapeAnalyzer::evaluateEntry(
+    CacheEntry &Entry, explain::FactKind Kind, uint32_t Ns, uint64_t Key,
+    const char *Equation, SourceLoc Loc, LabelFn &&Label,
+    EvaluateFn &&Evaluate) {
   uint32_t PF = explain::NoFact;
   if (Prov) {
-    PF = Prov->lookup(explain::FactKind::Binding, ProvBindingNs, Key);
-    if (PF == explain::NoFact) {
-      const LetrecBinding &B = Store.letrecInst(Inst).Node->bindings()[Index];
-      PF = Prov->create(explain::FactKind::Binding, ProvBindingNs, Key,
-                        std::string(Ast.spelling(B.Name)),
-                        "letrec-fix (§3.5)", B.Value->loc());
-    }
+    PF = Prov->lookup(Kind, Ns, Key);
+    if (PF == explain::NoFact)
+      PF = Prov->create(Kind, Ns, Key, Label(), Equation, Loc);
     Prov->read(PF);
   }
   if (Entry.InProgress || Entry.Round == CurrentRound)
-    return Entry.Val;
+    return std::nullopt;
   Entry.Round = CurrentRound;
   Entry.InProgress = true;
   if (Prov)
     Prov->open(PF);
-  const LetrecInst &LI = Store.letrecInst(Inst);
-  ValueId New = eval(LI.Node->bindings()[Index].Value, letrecBodyEnv(Inst));
+  ++BodyEvals;
+  ValueId New = Evaluate();
   New = Store.joinValues(Entry.Val, New);
-  bool BindingChanged = New != Entry.Val;
-  if (BindingChanged) {
+  bool Grew = New != Entry.Val;
+  if (Grew) {
     Entry.Val = New;
     Changed = true;
     ++ChangedThisRound;
@@ -146,12 +146,24 @@ ValueId EscapeAnalyzer::materializeBinding(LetrecInstId Inst, uint32_t Index) {
     Prov->close(PF);
   }
   Entry.InProgress = false;
-  if (Tracing) {
+  return Grew;
+}
+
+ValueId EscapeAnalyzer::materializeBinding(LetrecInstId Inst, uint32_t Index) {
+  uint64_t Key = (static_cast<uint64_t>(Inst) << 32) | Index;
+  CacheEntry &Entry = BindingCache[Key];
+  const LetrecBinding &B = Store.letrecInst(Inst).Node->bindings()[Index];
+  std::optional<bool> Grew = evaluateEntry(
+      Entry, explain::FactKind::Binding, ProvBindingNs, Key,
+      "letrec-fix (§3.5)", B.Value->loc(),
+      [&] { return std::string(Ast.spelling(B.Name)); },
+      [&] { return eval(B.Value, letrecBodyEnv(Inst)); });
+  if (Grew && Tracing) {
     FixpointTraceEntry TE;
-    TE.Binding = LI.Node->bindings()[Index].Name;
+    TE.Binding = B.Name;
     TE.Round = LastRounds;
     TE.Value = Store.str(Entry.Val);
-    TE.Changed = BindingChanged;
+    TE.Changed = *Grew;
     if (obs::tracingEnabled())
       obs::instant("fixpoint.iterate", "fixpoint",
                    {{"binding",
@@ -326,43 +338,23 @@ ValueId EscapeAnalyzer::applyAtom(FnAtomId AtomId, ValueId Arg) {
     }
     uint64_t Key = (static_cast<uint64_t>(AtomId) << 32) | Arg;
     CacheEntry &Entry = ApplyCache[Key];
-    uint32_t PF = explain::NoFact;
-    if (Prov) {
-      PF = Prov->lookup(explain::FactKind::Apply, ProvApplyNs, Key);
-      if (PF == explain::NoFact)
-        PF = Prov->create(explain::FactKind::Apply, ProvApplyNs, Key,
-                          "apply λ" +
-                              std::string(Ast.spelling(Atom.Lambda->param())) +
-                              " to " + Store.str(Arg),
-                          "closure-apply (§3.4)", Atom.Lambda->loc());
-      Prov->read(PF);
-    }
-    if (Entry.InProgress || Entry.Round == CurrentRound)
-      return Entry.Val;
-    Entry.Round = CurrentRound;
-    Entry.InProgress = true;
-    if (Prov)
-      Prov->open(PF);
-    EnvBinding B;
-    B.Name = Atom.Lambda->param();
-    B.Kind = EnvBindingKind::Value;
-    B.Val = Arg;
-    ++ApplyDepth;
-    ValueId New = eval(Atom.Lambda->body(), Store.extend(Atom.Env, B));
-    --ApplyDepth;
-    New = Store.joinValues(Entry.Val, New);
-    if (New != Entry.Val) {
-      Entry.Val = New;
-      Changed = true;
-      ++ChangedThisRound;
-      if (Prov)
-        Prov->raise(PF, LastRounds, Store.str(New));
-    }
-    if (Prov) {
-      Prov->result(PF, Store.str(Entry.Val));
-      Prov->close(PF);
-    }
-    Entry.InProgress = false;
+    evaluateEntry(
+        Entry, explain::FactKind::Apply, ProvApplyNs, Key,
+        "closure-apply (§3.4)", Atom.Lambda->loc(),
+        [&] {
+          return "apply λ" + std::string(Ast.spelling(Atom.Lambda->param())) +
+                 " to " + Store.str(Arg);
+        },
+        [&] {
+          EnvBinding B;
+          B.Name = Atom.Lambda->param();
+          B.Kind = EnvBindingKind::Value;
+          B.Val = Arg;
+          ++ApplyDepth;
+          ValueId New = eval(Atom.Lambda->body(), Store.extend(Atom.Env, B));
+          --ApplyDepth;
+          return New;
+        });
     return Entry.Val;
   }
   }

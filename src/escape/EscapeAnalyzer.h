@@ -219,6 +219,11 @@ public:
   /// runaway chain.
   unsigned wideningCount() const { return Widenings; }
 
+  /// Closure-body and letrec-binding evaluations so far, over every
+  /// query (the work the fixpoint does; also exported as the
+  /// escape.body_evals metric).
+  uint64_t bodyEvalCount() const { return BodyEvals; }
+
   /// Enables recording of per-binding fixpoint iterates (Appendix A.1
   /// style); call before queries.
   void enableTracing() { Tracing = true; }
@@ -287,6 +292,19 @@ private:
     bool InProgress = false;
   };
 
+  /// The memoized-entry protocol of a letrec binding and of a closure
+  /// application. Reads the entry's provenance fact (\p Kind, \p Ns,
+  /// \p Key; made with \p Label, \p Equation and \p Loc on first sight).
+  /// Unless the entry is in progress or already evaluated this round,
+  /// runs \p Evaluate, joins its value into the entry and raises the
+  /// fact when the entry grew. Returns nullopt when the cached value
+  /// stood, else whether the entry grew.
+  template <class LabelFn, class EvaluateFn>
+  std::optional<bool> evaluateEntry(CacheEntry &Entry, explain::FactKind Kind,
+                                    uint32_t Ns, uint64_t Key,
+                                    const char *Equation, SourceLoc Loc,
+                                    LabelFn &&Label, EvaluateFn &&Evaluate);
+
   /// Spine count of \p T under the current analysis mode.
   unsigned modeSpineCount(const Type *T) const;
 
@@ -314,6 +332,7 @@ private:
   unsigned ApplyDepth = 0;
   static constexpr unsigned MaxApplyDepth = 128;
   unsigned Widenings = 0;
+  uint64_t BodyEvals = 0;
 
   unsigned CurrentRound = 0;
   bool Changed = false;

@@ -19,7 +19,7 @@
 /// the GC heap.
 ///
 /// Renderable as human-readable text (`eal explain`), as the
-/// eal-explain-v1 JSON schema (validated by tools/check_explain_json.py),
+/// eal-explain-v1 JSON schema (validated by tools/check_json.py),
 /// and as a Graphviz DOT graph.
 ///
 //===----------------------------------------------------------------------===//

@@ -31,7 +31,7 @@
 ///
 /// Results: a per-site demand map (join over every consuming context),
 /// per-function summaries under ⊤, and the `eal-live-v1` JSON document
-/// (validated by tools/check_live_json.py). With a ProvenanceRecorder
+/// (validated by tools/check_json.py). With a ProvenanceRecorder
 /// attached, every summary and site demand becomes a Liveness fact whose
 /// dependency edges name the demanding context — the blame chains behind
 /// the EAL-D findings (docs/EXPLAIN.md).
@@ -124,7 +124,7 @@ struct LiveReport {
 
   /// Human-readable rendering (the `eal live` default output).
   std::string render(const AstContext &Ast, const SourceManager &SM) const;
-  /// The eal-live-v1 JSON document (tools/check_live_json.py). Inf
+  /// The eal-live-v1 JSON document (tools/check_json.py). Inf
   /// depths are encoded as -1. \p Command and \p Success mirror the
   /// other eal-*-v1 schemas.
   std::string toJson(const AstContext &Ast, const SourceManager &SM,

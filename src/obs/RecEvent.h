@@ -13,7 +13,7 @@
 /// deopt causes, dump triggers) are interned to small ids and the table
 /// is written once per recording (see Recorder.h).
 ///
-/// Payload conventions (timeline + rec2trace.py decode these):
+/// Payload conventions (Timeline.cpp decodes these):
 ///
 ///   RunBegin       A=name(command)      B=name(engine)
 ///   RunEnd         A=success(0/1)

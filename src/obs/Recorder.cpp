@@ -78,7 +78,9 @@ struct RecState {
   std::vector<std::string> Names{"<none>", "<overflow>"};
   std::unordered_map<std::string, uint16_t> NameIds;
 
-  // Final counters for the footer (insertion-ordered, last write wins).
+  // Final counters for the footer, keyed: a repeated key overwrites its
+  // value in place, so the table holds one entry per key in
+  // first-insertion order however many runs report.
   std::vector<std::pair<std::string, uint64_t>> Counters;
 
   // Streaming drain.
@@ -229,6 +231,12 @@ size_t rec::internedNameCount() {
   return S.Names.size();
 }
 
+size_t rec::finalCounterCount() {
+  RecState &S = state();
+  std::lock_guard<std::mutex> Lock(S.M);
+  return S.Counters.size();
+}
+
 void rec::setLiteEnabled(bool On) {
   detail::LiteOn.store(On, std::memory_order_relaxed);
 }
@@ -276,17 +284,9 @@ void writeFooterLocked(std::ostream &OS, RecState &S, uint64_t Dropped,
     OS << jsonQuote(S.Names[I]);
   }
   OS << "],\"counters\":{";
-  bool First = true;
   for (size_t I = 0; I != S.Counters.size(); ++I) {
-    // Last write wins: skip keys overwritten later in the list.
-    bool Stale = false;
-    for (size_t J = I + 1; J != S.Counters.size() && !Stale; ++J)
-      Stale = S.Counters[J].first == S.Counters[I].first;
-    if (Stale)
-      continue;
-    if (!First)
+    if (I)
       OS << ',';
-    First = false;
     OS << jsonQuote(S.Counters[I].first) << ':' << S.Counters[I].second;
   }
   OS << "},\"dropped\":" << Dropped << ",\"trigger\":" << jsonQuote(Trigger)
@@ -535,5 +535,10 @@ std::string rec::lastDumpTrigger() {
 void rec::finalCounter(std::string_view Key, uint64_t Value) {
   RecState &S = state();
   std::lock_guard<std::mutex> Lock(S.M);
+  for (auto &[Name, Old] : S.Counters)
+    if (Name == Key) {
+      Old = Value;
+      return;
+    }
   S.Counters.emplace_back(std::string(Key), Value);
 }

@@ -87,6 +87,8 @@ uint16_t internName(std::string_view S);
 std::string lookupName(uint16_t Id);
 /// Number of distinct names interned so far (including the 2 reserved).
 size_t internedNameCount();
+/// Number of distinct keys in the finalCounter() table (see below).
+size_t finalCounterCount();
 
 /// Master kill switch (default enabled). The obs.overhead bench flips
 /// this to measure recorder-on vs recorder-off in one binary; it is not
@@ -131,8 +133,9 @@ bool dumpNow(std::string_view Trigger);
 std::string lastDumpTrigger();
 
 /// Attaches a final counter (RuntimeStats totals, export drop counts)
-/// to the footer of the stream file and any later dump. Keys repeat
-/// last-write-wins.
+/// to the footer of the stream file and any later dump. A repeated key
+/// overwrites its value in place (first-insertion order is kept), so a
+/// long-lived process that runs many pipelines holds one entry per key.
 void finalCounter(std::string_view Key, uint64_t Value);
 
 //===----------------------------------------------------------------------===//

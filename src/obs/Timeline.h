@@ -19,9 +19,9 @@
 ///    the run itself reported in the recording footer — the
 ///    differential tests hold this across every example and seed.
 ///
-/// Exported as text (renderText) and JSON (toJson, `eal-timeline-v1`);
-/// tools/rec2trace.py converts recordings to Chrome trace format
-/// directly.
+/// Exported as text (renderText) and JSON (toJson, `eal-timeline-v1`),
+/// the one replay of a recording; Chrome trace JSON comes from the
+/// run's own --trace, not from a recording.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -12,7 +12,7 @@
 /// "why is this still on the GC heap" lint findings — into:
 ///
 ///  * the `eal-profile-v1` JSON document (validated by
-///    tools/check_profile_json.py): every static cons/pair/dcons site
+///    tools/check_json.py): every static cons/pair/dcons site
 ///    with its file:line:col, the storage class the optimizer planned
 ///    for it, why, and what each engine actually observed there;
 ///  * collapsed stacks (`folded` format) for flamegraph tooling;

@@ -13,7 +13,6 @@
 
 #include "lang/AstUtils.h"
 #include "support/Diagnostics.h"
-#include "support/Trace.h"
 
 #include <cassert>
 #include <pthread.h>
@@ -477,16 +476,10 @@ std::optional<RtValue> Interpreter::eval(const Expr *E, const EnvPtr &Env) {
 //===----------------------------------------------------------------------===//
 
 std::optional<RtValue> Interpreter::run() {
-  obs::Span S("interp.run", "runtime");
   Failed = false;
   EnvPtr Root = std::make_shared<EnvFrame>();
   FrameGuard Active(ActiveFrames, Root.get());
   std::optional<RtValue> Result = eval(Program.root(), Root);
-  if (S.active()) {
-    S.arg("steps", Stats.Steps);
-    S.arg("applications", Stats.Applications);
-    S.arg("heap_cells", Stats.HeapCellsAllocated);
-  }
   if (Failed)
     return std::nullopt;
   return Result;

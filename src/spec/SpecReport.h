@@ -8,7 +8,7 @@
 /// \file
 /// Text and JSON renderings of a speculation plan and its runtime
 /// outcome: the `eal spec` report (golden-tested) and the `eal-spec-v1`
-/// JSON document validated by tools/check_spec_json.py.
+/// JSON document validated by tools/check_json.py.
 ///
 //===----------------------------------------------------------------------===//
 

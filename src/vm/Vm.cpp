@@ -25,7 +25,6 @@
 #include "prof/Profiler.h"
 #include "runtime/SpecHooks.h"
 #include "support/Diagnostics.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -506,7 +505,6 @@ bool Vm::doReturn() {
 }
 
 std::optional<RtValue> Vm::run() {
-  obs::Span S("vm.run", "runtime");
   Failed = false;
 
   // Enter the entry proto.
@@ -782,10 +780,6 @@ run_done:
     TheHeap.freeArena(Handle);
   }
   OrphanArenas.clear();
-  if (S.active()) {
-    S.arg("steps", Stats.Steps);
-    S.arg("heap_cells", Stats.HeapCellsAllocated);
-  }
   if (Failed || Stack.empty())
     return std::nullopt;
   RtValue Result = Stack.back();

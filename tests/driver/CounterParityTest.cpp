@@ -168,6 +168,31 @@ TEST_F(PipelineTraceTest, OptimizeSubphasesCoverOptimize) {
   EXPECT_GE(Best, 0.9);
 }
 
+TEST_F(PipelineTraceTest, ExecuteSubphasesCoverExecute) {
+  // "execute" is compile (VM only) + heap-init + run, each with its own
+  // timer, on both engines. Best of three runs, as above.
+  for (ExecutionEngine Engine :
+       {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode}) {
+    double Best = 0;
+    for (int Run = 0; Run != 3; ++Run) {
+      PipelineResult R = runPipeline(sortProgram(), engineOptions(Engine, true));
+      ASSERT_TRUE(R.Success) << R.diagnostics();
+      int64_t Execute = 0, Subphases = 0;
+      for (const auto &[Name, Micros] : R.PhaseMicros) {
+        if (Name == "execute")
+          Execute = Micros;
+        else if (Name == "compile" || Name == "heap-init" || Name == "run")
+          Subphases += Micros;
+      }
+      ASSERT_GT(Execute, 0);
+      Best = std::max(Best, static_cast<double>(Subphases) /
+                                static_cast<double>(Execute));
+    }
+    EXPECT_GE(Best, 0.9) << (Engine == ExecutionEngine::Bytecode ? "vm"
+                                                                 : "tree");
+  }
+}
+
 TEST_F(PipelineTraceTest, UntracedRunRecordsNothing) {
   PipelineResult R = runPipeline(
       sortProgram(), engineOptions(ExecutionEngine::TreeWalker, true));
@@ -194,6 +219,18 @@ TEST_F(PipelineTraceTest, MetricsRunExportsRuntimeCounters) {
   EXPECT_EQ(Reg.counterValue("runtime.dcons_reuses"), R.Stats.DconsReuses);
   EXPECT_TRUE(Reg.hasCounter("phase.parse.micros"));
   EXPECT_TRUE(Reg.hasCounter("escape.queries"));
+}
+
+TEST_F(PipelineTraceTest, MetricsRunExportsEscapeBodyEvals) {
+  // escape.body_evals sums every analyzer of the run (base and final,
+  // planner queries included), so it covers the final analyzer's count.
+  obs::enableMetrics();
+  PipelineResult R = runPipeline(
+      sortProgram(), engineOptions(ExecutionEngine::TreeWalker, true));
+  ASSERT_TRUE(R.Success);
+  uint64_t Final = R.Optimized->FinalAnalyzer->bodyEvalCount();
+  EXPECT_GT(Final, 0u);
+  EXPECT_GT(obs::globalMetrics().counterValue("escape.body_evals"), Final);
 }
 
 } // namespace

@@ -207,6 +207,18 @@ TEST(RecorderIntern, ReservedIdsAndStability) {
 // (InternOverflowTest.cpp): flooding the process-global interner would
 // poison every later test in this one.
 
+// Every runPipeline reports each RuntimeStats field as a final counter.
+// The table is keyed, so a long-lived process that runs the pipeline
+// over and over keeps one entry per field instead of growing per run.
+TEST(RecorderFinalCounters, TableStaysFlatOverManyRuns) {
+  size_t Fields = 0;
+  RuntimeStats().forEachField(
+      [&Fields](const char *, const char *, uint64_t) { ++Fields; });
+  for (int I = 0; I != 10000; ++I)
+    ASSERT_TRUE(runPipeline("1").Success);
+  EXPECT_EQ(rec::finalCounterCount(), Fields);
+}
+
 //===----------------------------------------------------------------------===//
 // Differential: recording must not change the run
 //===----------------------------------------------------------------------===//

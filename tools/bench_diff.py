@@ -51,17 +51,11 @@ import os
 import sys
 import tempfile
 
-SCHEMA = "eal-bench-v1"
+from check_json import BENCH_SCHEMA as SCHEMA, CELL_CLASSES
 
 # Storage counters whose drift is worth reporting; a subset of the
-# eal-bench-v1 required counters (tools/check_bench_json.py).
-DRIFT_COUNTERS = [
-    "heap_cells_allocated",
-    "stack_cells_allocated",
-    "region_cells_allocated",
-    "dcons_reuses",
-    "gc_runs",
-]
+# eal-bench-v1 required counters (tools/check_json.py).
+DRIFT_COUNTERS = CELL_CLASSES + ("dcons_reuses", "gc_runs")
 
 
 def load_report(path, errors):

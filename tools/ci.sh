@@ -34,6 +34,7 @@
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
+CHECK_JSON="$REPO/tools/check_json.py"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 FUZZ_SEEDS="${EAL_FUZZ_SEEDS:-48}"
 BENCH_MAX_REGRESS="${EAL_BENCH_MAX_REGRESS:-0.10}"
@@ -66,12 +67,13 @@ run_config() {
   echo "=== [$name] tier-1 ctest"
   (cd "$dir" && ctest --output-on-failure -j "$JOBS" -LE tier2)
   if [ "$name" = asan ]; then
-    explain_smoke "$dir"
-    check_smoke "$dir"
-    live_smoke "$dir"
-    live_oracle_smoke "$dir"
-    spec_smoke "$dir"
-    record_smoke "$dir"
+    smoke "eal explain" explain_smoke "$dir"
+    smoke "eal check --oracle --live-oracle" check_smoke "$dir"
+    smoke "eal live" live_smoke "$dir"
+    smoke "eal run --live-oracle, both engines," live_oracle_smoke "$dir"
+    smoke "eal spec + forced deopt" spec_smoke "$dir"
+    smoke "eal run --record + timeline, both engines," record_smoke "$dir"
+    record_dump_smoke "$dir"
   fi
   if [ "$name" = release ]; then
     echo "=== [$name] fuzz smoke ($FUZZ_SEEDS fresh seeds)"
@@ -82,6 +84,23 @@ run_config() {
   echo "=== [$name] OK"
 }
 
+# One ASan smoke over the shipped examples: announces TITLE, then runs
+# STEP DIR EXAMPLE NAME [FLAGS...] once per examples/nml program, NAME
+# being its file name without .nml and FLAGS what it needs to compile
+# (stats.nml uses the standard prelude). Every step validates the JSON
+# documents it writes with tools/check_json.py.
+smoke() {
+  local title="$1" step="$2" dir="$3" example name
+  echo "=== [asan] $title over examples/nml (+ schema check)"
+  for example in "$REPO"/examples/nml/*.nml; do
+    name="$(basename "$example" .nml)"
+    case "$name" in
+    stats) "$step" "$dir" "$example" "$name" --stdlib ;;
+    *) "$step" "$dir" "$example" "$name" ;;
+    esac
+  done
+}
+
 # Why-provenance smoke: run `eal explain` over every shipped example
 # under ASan -- the blame-chain builder walks the whole final program and
 # dereferences fact ids recorded by three different analyses, so this is
@@ -89,20 +108,10 @@ run_config() {
 # also round-trips --explain-json through the schema checker
 # (docs/EXPLAIN.md).
 explain_smoke() {
-  local dir="$1"
-  echo "=== [asan] eal explain over examples/nml (+ schema check)"
-  local example flags json
-  for example in "$REPO"/examples/nml/*.nml; do
-    flags=""
-    case "$(basename "$example")" in
-    stats.nml) flags="--stdlib" ;;
-    esac
-    json="$dir/explain-$(basename "$example" .nml).json"
-    # shellcheck disable=SC2086
-    "$dir/tools/eal" explain "$example" $flags --explain-json="$json" \
-        >/dev/null
-    python3 "$REPO/tools/check_explain_json.py" "$json"
-  done
+  local dir="$1" example="$2" json="$1/explain-$3.json"
+  shift 3
+  "$dir/tools/eal" explain "$example" "$@" --explain-json="$json" >/dev/null
+  python3 "$CHECK_JSON" "$json"
 }
 
 # Escape-oracle smoke: `eal check --oracle --live-oracle` over every
@@ -112,20 +121,11 @@ explain_smoke() {
 # the site classifier and the oracle's claim table, so a reference that
 # outlives what it points into surfaces here.
 check_smoke() {
-  local dir="$1"
-  echo "=== [asan] eal check --oracle --live-oracle over examples/nml (+ schema check)"
-  local example flags json
-  for example in "$REPO"/examples/nml/*.nml; do
-    flags=""
-    case "$(basename "$example")" in
-    stats.nml) flags="--stdlib" ;;
-    esac
-    json="$dir/check-$(basename "$example" .nml).json"
-    # shellcheck disable=SC2086
-    "$dir/tools/eal" check "$example" $flags --oracle --live-oracle \
-        --check-json="$json" >/dev/null
-    python3 "$REPO/tools/check_findings_json.py" "$json"
-  done
+  local dir="$1" example="$2" json="$1/check-$3.json"
+  shift 3
+  "$dir/tools/eal" check "$example" "$@" --oracle --live-oracle \
+      --check-json="$json" >/dev/null
+  python3 "$CHECK_JSON" "$json"
 }
 
 # Heap-liveness smoke: `eal live` over every shipped example, each run
@@ -133,39 +133,27 @@ check_smoke() {
 # (docs/LIVENESS.md). Dead-data lints are warnings, so a finding does
 # not fail the smoke -- a schema drift or an analysis crash does.
 live_smoke() {
-  local dir="$1"
-  echo "=== [asan] eal live over examples/nml (+ schema check)"
-  local example flags json
-  for example in "$REPO"/examples/nml/*.nml; do
-    flags=""
-    case "$(basename "$example")" in
-    stats.nml) flags="--stdlib" ;;
-    esac
-    json="$dir/live-$(basename "$example" .nml).json"
-    # shellcheck disable=SC2086
-    "$dir/tools/eal" live "$example" $flags --live-json="$json" \
-        >/dev/null
-    python3 "$REPO/tools/check_live_json.py" "$json"
-  done
+  local dir="$1" example="$2" json="$1/live-$3.json"
+  shift 3
+  "$dir/tools/eal" live "$example" "$@" --live-json="$json" >/dev/null
+  python3 "$CHECK_JSON" "$json"
 }
 
 # Liveness-oracle smoke: run every shipped example under ASan with the
 # dynamic liveness oracle on both engines. Both feed the same per-cell
 # event channel (docs/INTERNALS.md), so a refuted dead-site claim or a
-# touch reported through a stale cell fails here on either engine.
+# touch reported through a stale cell fails here on either engine. Each
+# run also exports the liveness report the oracle checked, through the
+# schema checker.
 live_oracle_smoke() {
-  local dir="$1"
-  echo "=== [asan] eal run --live-oracle over examples/nml (both engines)"
-  local example flags engine
-  for example in "$REPO"/examples/nml/*.nml; do
-    flags=""
-    case "$(basename "$example")" in
-    stats.nml) flags="--stdlib" ;;
-    esac
-    for engine in "" --vm; do
-      # shellcheck disable=SC2086
-      "$dir/tools/eal" run "$example" $flags $engine --live-oracle >/dev/null
-    done
+  local dir="$1" example="$2" name="$3" engine json
+  shift 3
+  for engine in "" --vm; do
+    json="$dir/live-oracle-$name$engine.json"
+    # shellcheck disable=SC2086
+    "$dir/tools/eal" run "$example" "$@" $engine --live-oracle \
+        --live-json="$json" >/dev/null
+    python3 "$CHECK_JSON" "$json"
   done
 }
 
@@ -177,23 +165,12 @@ live_oracle_smoke() {
 # (docs/SPECULATION.md). Examples that plan no speculation still
 # exercise the planner's pre-run and export an empty plan.
 spec_smoke() {
-  local dir="$1"
-  echo "=== [asan] eal spec + forced deopt over examples/nml (+ schema check)"
-  local example flags json
-  for example in "$REPO"/examples/nml/*.nml; do
-    flags=""
-    case "$(basename "$example")" in
-    stats.nml) flags="--stdlib" ;;
-    esac
-    json="$dir/spec-$(basename "$example" .nml).json"
-    # shellcheck disable=SC2086
-    "$dir/tools/eal" run "$example" $flags --spec --spec-inject-deopt=all \
-        --validate >/dev/null
-    # shellcheck disable=SC2086
-    "$dir/tools/eal" spec "$example" $flags --spec-json="$json" \
-        >/dev/null
-    python3 "$REPO/tools/check_spec_json.py" "$json"
-  done
+  local dir="$1" example="$2" json="$1/spec-$3.json"
+  shift 3
+  "$dir/tools/eal" run "$example" "$@" --spec --spec-inject-deopt=all \
+      --validate >/dev/null
+  "$dir/tools/eal" spec "$example" "$@" --spec-json="$json" >/dev/null
+  python3 "$CHECK_JSON" "$json"
 }
 
 # Flight-recorder smoke: stream every shipped example, on both engines,
@@ -202,35 +179,33 @@ spec_smoke() {
 # the concurrency ASan should watch), round-trip each file through the
 # schema checker, and replay it with `eal timeline`, which exits 1 if
 # the replayed counters fail to reconcile with the run's own stats
-# (docs/RECORDER.md). A speculative run on each engine must reconcile
-# too: the recording holds the measured run only, not the spec pre-run.
-# Then force the crash path twice: an injected spec deopt and a parse
-# error, each with --rec-dump armed, must leave a loadable flight
-# recording whose trigger names the failure.
+# (docs/RECORDER.md).
 record_smoke() {
-  local dir="$1"
-  echo "=== [asan] eal run --record over examples/nml (+ schema + timeline)"
-  local example flags rec engine
-  for example in "$REPO"/examples/nml/*.nml; do
-    flags=""
-    case "$(basename "$example")" in
-    stats.nml) flags="--stdlib" ;;
-    esac
-    for engine in "" --vm; do
-      rec="$dir/record-$(basename "$example" .nml)${engine}.rec"
-      # shellcheck disable=SC2086
-      "$dir/tools/eal" run "$example" $flags $engine --record="$rec" \
-          >/dev/null
-      python3 "$REPO/tools/check_rec_json.py" "$rec"
-      "$dir/tools/eal" timeline "$rec" >/dev/null
-    done
+  local dir="$1" example="$2" name="$3" engine rec
+  shift 3
+  for engine in "" --vm; do
+    rec="$dir/record-$name$engine.rec"
+    # shellcheck disable=SC2086
+    "$dir/tools/eal" run "$example" "$@" $engine --record="$rec" >/dev/null
+    python3 "$CHECK_JSON" "$rec"
+    "$dir/tools/eal" timeline "$rec" >/dev/null
   done
-  echo "=== [asan] eal run --spec --record (+ timeline, both engines)"
+}
+
+# A speculative run on each engine must reconcile too: the recording
+# holds the measured run only, not the spec pre-run. Then force the
+# crash path twice: an injected spec deopt and a parse error, each with
+# --rec-dump armed, must leave a loadable flight recording whose trigger
+# names the failure.
+record_dump_smoke() {
+  local dir="$1" engine rec
+  echo "=== [asan] eal run --spec --record (+ schema + timeline, both engines)"
   for engine in "" --vm; do
     rec="$dir/record-spec-cold${engine}.rec"
     # shellcheck disable=SC2086
     "$dir/tools/eal" run "$REPO/examples/nml/spec_cold.nml" --spec $engine \
         --record="$rec" >/dev/null
+    python3 "$CHECK_JSON" "$rec"
     "$dir/tools/eal" timeline "$rec" >/dev/null
   done
   echo "=== [asan] forced deopt dump (--spec-inject-deopt + --rec-dump)"
@@ -238,7 +213,7 @@ record_smoke() {
   rm -f "$rec"
   "$dir/tools/eal" run "$REPO/examples/nml/spec_cold.nml" --spec \
       --spec-inject-deopt=all --rec-dump="$rec" >/dev/null
-  python3 "$REPO/tools/check_rec_json.py" "$rec"
+  python3 "$CHECK_JSON" "$rec"
   "$dir/tools/eal" timeline "$rec" | grep -q "trigger=spec-deopt"
   echo "=== [asan] forced failure dump (--rec-dump)"
   rec="$dir/record-failure-dump.rec"
@@ -253,6 +228,7 @@ record_smoke() {
     echo "ci.sh: failed run left no flight dump at $rec" >&2
     exit 1
   fi
+  python3 "$CHECK_JSON" "$rec"
   "$dir/tools/eal" timeline "$rec" | grep -q "trigger=run-failed"
 }
 

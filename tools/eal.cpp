@@ -71,11 +71,11 @@
 //                     the concrete heap; a refuted claim aborts the run.
 //                     Runs on the tree-walker, whatever the engine flag
 //   --check-json=FILE write findings + oracle counters as JSON
-//                     (schema eal-check-v1, tools/check_findings_json.py)
+//                     (schema eal-check-v1, tools/check_json.py)
 //
 // Profiling flags (docs/PROFILING.md, `eal profile` only):
 //   --profile-json=FILE write the joined static+dynamic profile as JSON
-//                     (schema eal-profile-v1, tools/check_profile_json.py)
+//                     (schema eal-profile-v1, tools/check_json.py)
 //   --folded=FILE     write collapsed stacks for both engines (one
 //                     "tree;f;g N" / "vm;f;g N" line per stack), ready
 //                     for flamegraph.pl / speedscope
@@ -89,7 +89,7 @@
 //   --live-gc         let the GC prune never-demanded structure (the one
 //                     liveness consumer that changes runtime behaviour)
 //   --live-json=FILE  write the liveness report as JSON (schema
-//                     eal-live-v1, tools/check_live_json.py); any command
+//                     eal-live-v1, tools/check_json.py); any command
 //
 // Explain flags (docs/EXPLAIN.md):
 //   --at=[FILE:]L:C   print only the chains of the allocation site at
@@ -97,7 +97,7 @@
 //                     exact column match, every site on line L
 //   --explain-json=FILE write the chains + the whole provenance graph as
 //                     JSON (schema eal-explain-v1,
-//                     tools/check_explain_json.py); any command
+//                     tools/check_json.py); any command
 //   --dot=FILE        write the provenance graph as Graphviz DOT, blame
 //                     chains highlighted; any command
 //
@@ -116,7 +116,7 @@
 //   --spec-hot-min=N  require a speculated site to have at least N
 //                     profiled heap allocations (default 8)
 //   --spec-json=FILE  write the speculation plan + runtime outcome as
-//                     JSON (schema eal-spec-v1, tools/check_spec_json.py)
+//                     JSON (schema eal-spec-v1, tools/check_json.py)
 //
 //===----------------------------------------------------------------------===//
 
