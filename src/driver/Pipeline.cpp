@@ -221,7 +221,6 @@ void runPipelineImpl(const std::string &Source,
       spec::SpecPlannerOptions SPO;
       SPO.ColdMaxEntries = Options.Spec.ColdMaxEntries;
       SPO.HotMinAllocs = Options.Spec.HotMinAllocs;
-      SPO.MaxGuards = Options.Spec.MaxGuards;
       SPO.Mode = Options.Mode;
       SPO.Analysis = OptConfig.Analysis;
       SPO.EnableStack = OptConfig.EnableStack;

@@ -161,7 +161,6 @@ struct PipelineOptions {
     /// Planner knobs (SpecPlannerOptions mirrors).
     uint64_t ColdMaxEntries = 0;
     uint64_t HotMinAllocs = 8;
-    unsigned MaxGuards = 16;
   };
   SpeculationOptions Spec;
   /// Tracing / stats export / profiler routing.
@@ -231,9 +230,12 @@ struct PipelineResult {
 
   /// Wall time of each pipeline phase in run order, as {name, µs}. The
   /// "lex" entry appears only when tracing is enabled (a counting
-  /// pre-pass; parsing lexes on the fly); "escape", "sharing", "retype",
-  /// "final-escape" and "plan" come from inside the "optimize" phase and
-  /// overlap it.
+  /// pre-pass; parsing lexes on the fly). Two phases nest others and
+  /// overlap them: "escape", "sharing", "retype", "final-escape" and
+  /// "plan" come from inside "optimize", and "compile" (VM only),
+  /// "heap-init" and "run" from inside "execute". Without execution, a
+  /// "compile" entry (disasm) is top level. The top-level entries sum to
+  /// nearly the whole runPipeline wall time.
   obs::PhaseTimer::PhaseTimes PhaseMicros;
 
   /// Failures of the ObservabilityOptions exports ("cannot write

@@ -22,8 +22,8 @@ EscapeAnalyzer::EscapeAnalyzer(const AstContext &Ast,
                                const TypedProgram &Program,
                                DiagnosticEngine &Diags, unsigned MaxRounds,
                                EscapeAnalysisMode Mode)
-    : Ast(Ast), Program(Program), Diags(Diags), MaxRounds(MaxRounds),
-      Mode(Mode) {
+    : Ast(Ast), Program(Program), Diags(Diags), Mode(Mode),
+      Solver(ValueLattice{&Store}, MaxRounds) {
   // When a trace is being recorded, the per-binding iterates (the
   // append^(k) tables of Appendix A.1) are part of what it should show.
   if (obs::tracingEnabled())
@@ -35,11 +35,9 @@ unsigned EscapeAnalyzer::modeSpineCount(const Type *T) const {
 }
 
 void EscapeAnalyzer::attachProvenance(explain::ProvenanceRecorder *P) {
-  Prov = P;
+  Solver.attachProvenance(P);
   if (P) {
-    ProvBindingNs = P->allocNamespace();
-    ProvApplyNs = P->allocNamespace();
-    ProvGlobalNs = P->allocNamespace();
+    ProvNs = P->allocNamespace();
     ProvLocalNs = P->allocNamespace();
   }
 }
@@ -48,40 +46,34 @@ void EscapeAnalyzer::attachProvenance(explain::ProvenanceRecorder *P) {
 // Fixpoint driver
 //===----------------------------------------------------------------------===//
 
-ValueId EscapeAnalyzer::runToFixpoint(const std::function<ValueId()> &Root) {
+template <class RootFn>
+ValueId EscapeAnalyzer::runToFixpoint(RootFn &&Root) {
   ValueId Result = Store.bottom();
-  const uint64_t BodyEvalsBefore = BodyEvals;
-  LastRounds = 0;
+  const uint64_t EvalsBefore = Solver.evaluations();
   if (Tracing)
     RoundChanges.clear();
-  do {
-    Changed = false;
-    ChangedThisRound = 0;
-    ++CurrentRound;
-    ++LastRounds;
-    if (LastRounds > MaxRounds) {
-      HitLimit = true;
-      Diags.error(SourceLoc::invalid(),
-                  "escape analysis exceeded " + std::to_string(MaxRounds) +
-                      " fixpoint rounds; result is conservative");
-      break;
-    }
+  bool Converged = Solver.run([&] {
     Result = Root();
     // Convergence telemetry: how many cache entries moved up the lattice
     // this round (the final, stable round records 0).
     if (Tracing) {
-      RoundChanges.push_back(ChangedThisRound);
+      RoundChanges.push_back(Solver.roundRaises());
       if (obs::tracingEnabled())
         obs::instant("fixpoint.round", "fixpoint",
-                     {{"round", std::to_string(LastRounds)},
-                      {"changed_vars", std::to_string(ChangedThisRound)}});
+                     {{"round", std::to_string(Solver.rounds())},
+                      {"changed_vars", std::to_string(Solver.roundRaises())}});
     }
-  } while (Changed);
+  });
+  if (!Converged)
+    Diags.error(SourceLoc::invalid(),
+                "escape analysis exceeded " +
+                    std::to_string(Solver.maxRounds()) +
+                    " fixpoint rounds; result is conservative");
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry &Reg = obs::globalMetrics();
     Reg.counter("escape.queries").add(1);
-    Reg.counter("escape.body_evals").add(BodyEvals - BodyEvalsBefore);
-    Reg.histogram("escape.fixpoint.rounds_per_query").record(LastRounds);
+    Reg.counter("escape.body_evals").add(Solver.evaluations() - EvalsBefore);
+    Reg.histogram("escape.fixpoint.rounds_per_query").record(Solver.rounds());
   }
   return Result;
 }
@@ -112,66 +104,25 @@ EnvId EscapeAnalyzer::letrecBodyEnv(LetrecInstId Inst) {
   return Env;
 }
 
-template <class LabelFn, class EvaluateFn>
-inline std::optional<bool> EscapeAnalyzer::evaluateEntry(
-    CacheEntry &Entry, explain::FactKind Kind, uint32_t Ns, uint64_t Key,
-    const char *Equation, SourceLoc Loc, LabelFn &&Label,
-    EvaluateFn &&Evaluate) {
-  uint32_t PF = explain::NoFact;
-  if (Prov) {
-    PF = Prov->lookup(Kind, Ns, Key);
-    if (PF == explain::NoFact)
-      PF = Prov->create(Kind, Ns, Key, Label(), Equation, Loc);
-    Prov->read(PF);
-  }
-  if (Entry.InProgress || Entry.Round == CurrentRound)
-    return std::nullopt;
-  Entry.Round = CurrentRound;
-  Entry.InProgress = true;
-  if (Prov)
-    Prov->open(PF);
-  ++BodyEvals;
-  ValueId New = Evaluate();
-  New = Store.joinValues(Entry.Val, New);
-  bool Grew = New != Entry.Val;
-  if (Grew) {
-    Entry.Val = New;
-    Changed = true;
-    ++ChangedThisRound;
-    if (Prov)
-      Prov->raise(PF, LastRounds, Store.str(New));
-  }
-  if (Prov) {
-    Prov->result(PF, Store.str(Entry.Val));
-    Prov->close(PF);
-  }
-  Entry.InProgress = false;
-  return Grew;
-}
-
 ValueId EscapeAnalyzer::materializeBinding(LetrecInstId Inst, uint32_t Index) {
   uint64_t Key = (static_cast<uint64_t>(Inst) << 32) | Index;
-  CacheEntry &Entry = BindingCache[Key];
+  Fixpoint::Entry &Entry = BindingCache[Key];
   const LetrecBinding &B = Store.letrecInst(Inst).Node->bindings()[Index];
-  std::optional<bool> Grew = evaluateEntry(
-      Entry, explain::FactKind::Binding, ProvBindingNs, Key,
-      "letrec-fix (§3.5)", B.Value->loc(),
+  std::optional<bool> Grew = Solver.evaluate(
+      Entry,
+      {explain::FactKind::Binding, ProvNs, Key, "letrec-fix (§3.5)",
+       B.Value->loc()},
       [&] { return std::string(Ast.spelling(B.Name)); },
-      [&] { return eval(B.Value, letrecBodyEnv(Inst)); });
+      [&](uint32_t) { return eval(B.Value, letrecBodyEnv(Inst)); });
   if (Grew && Tracing) {
-    FixpointTraceEntry TE;
-    TE.Binding = B.Name;
-    TE.Round = LastRounds;
-    TE.Value = Store.str(Entry.Val);
-    TE.Changed = *Grew;
+    Trace.push_back({B.Name, Solver.rounds(), Store.str(Entry.Val), *Grew});
+    const FixpointTraceEntry &TE = Trace.back();
     if (obs::tracingEnabled())
       obs::instant("fixpoint.iterate", "fixpoint",
-                   {{"binding",
-                     obs::jsonQuote(Ast.spelling(TE.Binding))},
+                   {{"binding", obs::jsonQuote(Ast.spelling(TE.Binding))},
                     {"round", std::to_string(TE.Round)},
                     {"value", obs::jsonQuote(TE.Value)},
                     {"changed", TE.Changed ? "true" : "false"}});
-    Trace.push_back(std::move(TE));
   }
   return Entry.Val;
 }
@@ -337,15 +288,16 @@ ValueId EscapeAnalyzer::applyAtom(FnAtomId AtomId, ValueId Arg) {
       return applyWorst(W, Arg);
     }
     uint64_t Key = (static_cast<uint64_t>(AtomId) << 32) | Arg;
-    CacheEntry &Entry = ApplyCache[Key];
-    evaluateEntry(
-        Entry, explain::FactKind::Apply, ProvApplyNs, Key,
-        "closure-apply (§3.4)", Atom.Lambda->loc(),
+    Fixpoint::Entry &Entry = ApplyCache[Key];
+    Solver.evaluate(
+        Entry,
+        {explain::FactKind::Apply, ProvNs, Key, "closure-apply (§3.4)",
+         Atom.Lambda->loc()},
         [&] {
           return "apply λ" + std::string(Ast.spelling(Atom.Lambda->param())) +
                  " to " + Store.str(Arg);
         },
-        [&] {
+        [&](uint32_t) {
           EnvBinding B;
           B.Name = Atom.Lambda->param();
           B.Kind = EnvBindingKind::Value;
@@ -471,6 +423,39 @@ ValueId EscapeAnalyzer::applyWorst(const FnAtom &Atom, ValueId Arg) {
 // Queries
 //===----------------------------------------------------------------------===//
 
+template <class LabelFn, class CalleeFn, class ArgFn>
+ParamEscape EscapeAnalyzer::escapeTest(const Fixpoint::FactSite &Site,
+                                       LabelFn &&Label, Symbol Fn,
+                                       unsigned ParamIndex,
+                                       const Type *ParamType, unsigned Arity,
+                                       CalleeFn &&Callee, ArgFn &&Arg) {
+  ParamEscape PE;
+  PE.Prov = Solver.openFact(Site, Label);
+  PE.Function = Fn;
+  PE.ParamIndex = ParamIndex;
+  PE.ParamType = ParamType;
+  PE.ParamSpines = modeSpineCount(ParamType);
+  ValueId Result = runToFixpoint([&] {
+    ValueId F = Callee();
+    for (unsigned J = 0; J != Arity; ++J)
+      F = apply(F, Arg(J, J == ParamIndex
+                              ? BasicEscape::contained(PE.ParamSpines)
+                              : BasicEscape::none()));
+    return F;
+  });
+  PE.Escape = Store.ground(Result);
+  if (Mode == EscapeAnalysisMode::WholeObject) {
+    // All-or-nothing over the real structure: either every spine escapes
+    // or none does.
+    PE.ParamSpines = spineCount(ParamType);
+    PE.Escape = PE.Escape.isContained()
+                    ? BasicEscape::contained(PE.ParamSpines)
+                    : BasicEscape::none();
+  }
+  Solver.closeFact(PE.Prov, [&] { return PE.Escape.str(); });
+  return PE;
+}
+
 ValueId EscapeAnalyzer::evaluate(const Expr *E) {
   return runToFixpoint([&] { return eval(E, topEnv()); });
 }
@@ -485,10 +470,6 @@ std::vector<const Type *> EscapeAnalyzer::paramTypes(const Type *FnType,
     T = Fun->result();
   }
   return Params;
-}
-
-ValueId EscapeAnalyzer::worstArg(BasicEscape Ground, const Type *T) {
-  return Store.makeWorst(Ground, T);
 }
 
 std::optional<ParamEscape> EscapeAnalyzer::globalEscape(Symbol Fn,
@@ -513,52 +494,22 @@ std::optional<ParamEscape> EscapeAnalyzer::globalEscape(Symbol Fn,
 
   std::vector<const Type *> Params =
       paramTypes(Program.typeOf(Binding->Value), Arity);
-  unsigned InterestingSpines = modeSpineCount(Params[ParamIndex]);
 
   LetrecInstId TopInst = Store.internLetrecInst(Letrec, Store.emptyEnv());
-  uint32_t QF = explain::NoFact;
-  if (Prov) {
-    uint64_t Key = (static_cast<uint64_t>(Fn.id()) << 32) | ParamIndex;
-    QF = Prov->lookup(explain::FactKind::Query, ProvGlobalNs, Key);
-    if (QF == explain::NoFact)
-      QF = Prov->create(explain::FactKind::Query, ProvGlobalNs, Key,
-                        "G(" + std::string(Ast.spelling(Fn)) + ", " +
-                            std::to_string(ParamIndex + 1) + ")",
-                        "global escape test G (§4.1)", Binding->Value->loc());
-    Prov->read(QF);
-    Prov->open(QF);
-  }
-  ValueId Result = runToFixpoint([&] {
-    ValueId F = materializeBinding(TopInst, Index);
-    for (unsigned J = 0; J != Arity; ++J) {
-      BasicEscape Ground = J == ParamIndex
-                               ? BasicEscape::contained(InterestingSpines)
-                               : BasicEscape::none();
-      F = apply(F, worstArg(Ground, Params[J]));
-    }
-    return F;
-  });
-
-  ParamEscape PE;
-  PE.Prov = QF;
-  PE.Function = Fn;
-  PE.ParamIndex = ParamIndex;
-  PE.ParamType = Params[ParamIndex];
-  PE.ParamSpines = InterestingSpines;
-  PE.Escape = Store.ground(Result);
-  if (Mode == EscapeAnalysisMode::WholeObject) {
-    // All-or-nothing over the real structure: either every spine escapes
-    // or none does.
-    PE.ParamSpines = spineCount(Params[ParamIndex]);
-    PE.Escape = PE.Escape.isContained()
-                    ? BasicEscape::contained(PE.ParamSpines)
-                    : BasicEscape::none();
-  }
-  if (Prov) {
-    Prov->result(QF, PE.Escape.str());
-    Prov->close(QF);
-  }
-  return PE;
+  return escapeTest(
+      {explain::FactKind::Query, ProvNs,
+       (static_cast<uint64_t>(Fn.id()) << 32) | ParamIndex,
+       "global escape test G (§4.1)", Binding->Value->loc()},
+      [&] {
+        return "G(" + std::string(Ast.spelling(Fn)) + ", " +
+               std::to_string(ParamIndex + 1) + ")";
+      },
+      Fn, ParamIndex, Params[ParamIndex], Arity,
+      [&] { return materializeBinding(TopInst, Index); },
+      // y_j = ⟨ground, W^τ⟩ (§4.1).
+      [&](unsigned J, BasicEscape Ground) {
+        return Store.makeWorst(Ground, Params[J]);
+      });
 }
 
 std::optional<ParamEscape> EscapeAnalyzer::localEscape(const Expr *CallSite,
@@ -616,60 +567,26 @@ EscapeAnalyzer::localEscapeUnder(const Expr *CallSite, unsigned ParamIndex,
   if (Args.empty() || ParamIndex >= Args.size())
     return std::nullopt;
 
-  unsigned InterestingSpines =
-      modeSpineCount(Program.typeOf(Args[ParamIndex]));
-
   Symbol CalleeName;
   if (const auto *Var = dyn_cast<VarExpr>(Callee))
     CalleeName = Var->name();
 
-  uint32_t QF = explain::NoFact;
-  if (Prov) {
-    uint64_t Key = (static_cast<uint64_t>(CallSite->id()) << 32) | ParamIndex;
-    QF = Prov->lookup(explain::FactKind::Query, ProvLocalNs, Key);
-    if (QF == explain::NoFact)
-      QF = Prov->create(explain::FactKind::Query, ProvLocalNs, Key,
-                        "L(" +
-                            (CalleeName.isValid()
-                                 ? std::string(Ast.spelling(CalleeName))
-                                 : std::string("<fn>")) +
-                            ", " + std::to_string(ParamIndex + 1) + ")",
-                        "local escape test L (§4.2)", CallSite->loc());
-    Prov->read(QF);
-    Prov->open(QF);
-  }
-
-  ValueId Result = runToFixpoint([&] {
-    ValueId F = eval(Callee, Env);
-    for (unsigned J = 0; J != Args.size(); ++J) {
-      // z_j = ⟨j == i ? ⟨1,s_i⟩ : ⟨0,0⟩, (E[e_j] env)₍₂₎⟩ (§4.2).
-      ValueId ArgValue = eval(Args[J], Env);
-      BasicEscape Ground = J == ParamIndex
-                               ? BasicEscape::contained(InterestingSpines)
-                               : BasicEscape::none();
-      F = apply(F, Store.withGround(ArgValue, Ground));
-    }
-    return F;
-  });
-
-  ParamEscape PE;
-  PE.Prov = QF;
-  PE.Function = CalleeName;
-  PE.ParamIndex = ParamIndex;
-  PE.ParamType = Program.typeOf(Args[ParamIndex]);
-  PE.ParamSpines = InterestingSpines;
-  PE.Escape = Store.ground(Result);
-  if (Mode == EscapeAnalysisMode::WholeObject) {
-    PE.ParamSpines = spineCount(PE.ParamType);
-    PE.Escape = PE.Escape.isContained()
-                    ? BasicEscape::contained(PE.ParamSpines)
-                    : BasicEscape::none();
-  }
-  if (Prov) {
-    Prov->result(QF, PE.Escape.str());
-    Prov->close(QF);
-  }
-  return PE;
+  return escapeTest(
+      {explain::FactKind::Query, ProvLocalNs,
+       (static_cast<uint64_t>(CallSite->id()) << 32) | ParamIndex,
+       "local escape test L (§4.2)", CallSite->loc()},
+      [&] {
+        return "L(" +
+               (CalleeName.isValid() ? std::string(Ast.spelling(CalleeName))
+                                     : std::string("<fn>")) +
+               ", " + std::to_string(ParamIndex + 1) + ")";
+      },
+      CalleeName, ParamIndex, Program.typeOf(Args[ParamIndex]), Args.size(),
+      [&] { return eval(Callee, Env); },
+      // z_j = ⟨ground, (E[e_j] env)₍₂₎⟩ (§4.2).
+      [&](unsigned J, BasicEscape Ground) {
+        return Store.withGround(eval(Args[J], Env), Ground);
+      });
 }
 
 ProgramEscapeReport EscapeAnalyzer::analyzeProgram() {
@@ -698,8 +615,8 @@ ProgramEscapeReport EscapeAnalyzer::analyzeProgram() {
       std::optional<ParamEscape> PE = globalEscape(Binding.Name, I);
       assert(PE && "binding disappeared mid-analysis");
       FE.Params.push_back(*PE);
-      TotalRounds += LastRounds;
-      FnRounds += LastRounds;
+      TotalRounds += Solver.rounds();
+      FnRounds += Solver.rounds();
     }
     if (FnSpan.active()) {
       // The change set is the number of binding iterates that actually

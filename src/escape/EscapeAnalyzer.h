@@ -10,12 +10,14 @@
 /// fixpoint interpreter, plus the global escape test G (§4.1) and local
 /// escape test L (§4.2).
 ///
-/// Evaluation strategy: applications of closures are memoized in a cache
-/// keyed by (closure atom, argument value). A cache miss starts from ⊥,
-/// which breaks recursive cycles; the whole query is then re-evaluated in
-/// rounds until no cache entry changes. All abstract operators are
-/// monotone and the value space reachable from a program is finite, so the
-/// iteration terminates (§3.5); an iteration budget guards against bugs.
+/// Evaluation strategy: closure applications, keyed by (closure atom,
+/// argument value), and letrec bindings are memoized as entries of the
+/// fixpoint solver shared with the liveness analysis (explain/Fixpoint.h).
+/// A cache miss starts from ⊥, which breaks recursive cycles; the whole
+/// query is then re-evaluated in rounds until no entry changes. All
+/// abstract operators are monotone and the value space reachable from a
+/// program is finite, so the iteration terminates (§3.5); the solver's
+/// round budget guards against bugs.
 ///
 /// One program shape escapes that finiteness argument: a recursive
 /// function that *rebuilds* a function argument at every call
@@ -33,7 +35,7 @@
 #define EAL_ESCAPE_ESCAPEANALYZER_H
 
 #include "escape/EscapeValue.h"
-#include "explain/Provenance.h"
+#include "explain/Fixpoint.h"
 #include "types/TypeInference.h"
 
 #include <functional>
@@ -205,12 +207,12 @@ public:
 
   const ValueStore &store() const { return Store; }
   /// Rounds taken by the most recent query's fixpoint loop.
-  unsigned lastRounds() const { return LastRounds; }
+  unsigned lastRounds() const { return Solver.rounds(); }
   /// Total closure-application cache entries discovered so far.
   size_t applyCacheSize() const { return ApplyCache.size(); }
   /// True if some query exceeded the round budget (results are then
   /// conservative).
-  bool hitIterationLimit() const { return HitLimit; }
+  bool hitIterationLimit() const { return Solver.budgetHit(); }
 
   /// Number of closure applications widened to W^τ because nested
   /// application depth exceeded the budget (higher-order recursion
@@ -222,7 +224,7 @@ public:
   /// Closure-body and letrec-binding evaluations so far, over every
   /// query (the work the fixpoint does; also exported as the
   /// escape.body_evals metric).
-  uint64_t bodyEvalCount() const { return BodyEvals; }
+  uint64_t bodyEvalCount() const { return Solver.evaluations(); }
 
   /// Enables recording of per-binding fixpoint iterates (Appendix A.1
   /// style); call before queries.
@@ -241,9 +243,21 @@ public:
   /// edges, and fill ParamEscape::Prov. Null detaches. The recorder must
   /// outlive the analyzer.
   void attachProvenance(explain::ProvenanceRecorder *P);
-  explain::ProvenanceRecorder *provenance() const { return Prov; }
+  explain::ProvenanceRecorder *provenance() const {
+    return Solver.provenance();
+  }
 
 private:
+  /// The escape domain as the solver's lattice: values interned, joined
+  /// and rendered by the store.
+  struct ValueLattice {
+    using Value = ValueId;
+    ValueStore *Store;
+    ValueId join(ValueId A, ValueId B) const { return Store->joinValues(A, B); }
+    std::string render(ValueId V) const { return Store->str(V); }
+  };
+  using Fixpoint = explain::FixpointSolver<ValueLattice>;
+
   //===--- Abstract evaluation ---------------------------------------------==//
 
   ValueId eval(const Expr *E, EnvId Env);
@@ -262,6 +276,16 @@ private:
   /// references for every binding.
   EnvId letrecBodyEnv(LetrecInstId Inst);
 
+  /// Runs one escape test under its Query fact at \p Site: solves
+  /// Callee() applied to Arg(j, ground) for j < \p Arity to fixpoint,
+  /// where parameter \p ParamIndex (of type \p ParamType) carries
+  /// ⟨1,s_i⟩ and every other argument ⟨0,0⟩, and grades the ground of
+  /// the result (all-or-nothing in whole-object mode).
+  template <class LabelFn, class CalleeFn, class ArgFn>
+  ParamEscape escapeTest(const Fixpoint::FactSite &Site, LabelFn &&Label,
+                         Symbol Fn, unsigned ParamIndex, const Type *ParamType,
+                         unsigned Arity, CalleeFn &&Callee, ArgFn &&Arg);
+
   /// Shared implementation of the two local tests.
   std::optional<ParamEscape> localEscapeUnder(const Expr *CallSite,
                                               unsigned ParamIndex, EnvId Env);
@@ -272,38 +296,17 @@ private:
   /// Cached free-variable sets per node.
   const std::vector<Symbol> &freeVarsOf(const Expr *E);
 
-  /// Runs \p Root to fixpoint (monotone rounds until no cache changes).
-  ValueId runToFixpoint(const std::function<ValueId()> &Root);
+  /// Runs \p Root() to fixpoint (monotone rounds until no cache entry
+  /// changes); past the round budget, reports an error and returns the
+  /// last round's (conservative) value.
+  template <class RootFn> ValueId runToFixpoint(RootFn &&Root);
 
   /// The top-level environment (letrec bindings if the program root is a
   /// letrec, empty otherwise) and its instantiation id, built on demand.
   EnvId topEnv();
 
-  /// Builds the worst-case argument value y_j for a parameter of type
-  /// \p T: ⟨\p Ground, W^τ⟩.
-  ValueId worstArg(BasicEscape Ground, const Type *T);
-
   /// Splits an n-ary function type into parameter types.
   std::vector<const Type *> paramTypes(const Type *FnType, unsigned Arity);
-
-  struct CacheEntry {
-    ValueId Val = 0; // bottom
-    unsigned Round = 0;
-    bool InProgress = false;
-  };
-
-  /// The memoized-entry protocol of a letrec binding and of a closure
-  /// application. Reads the entry's provenance fact (\p Kind, \p Ns,
-  /// \p Key; made with \p Label, \p Equation and \p Loc on first sight).
-  /// Unless the entry is in progress or already evaluated this round,
-  /// runs \p Evaluate, joins its value into the entry and raises the
-  /// fact when the entry grew. Returns nullopt when the cached value
-  /// stood, else whether the entry grew.
-  template <class LabelFn, class EvaluateFn>
-  std::optional<bool> evaluateEntry(CacheEntry &Entry, explain::FactKind Kind,
-                                    uint32_t Ns, uint64_t Key,
-                                    const char *Equation, SourceLoc Loc,
-                                    LabelFn &&Label, EvaluateFn &&Evaluate);
 
   /// Spine count of \p T under the current analysis mode.
   unsigned modeSpineCount(const Type *T) const;
@@ -311,14 +314,14 @@ private:
   const AstContext &Ast;
   const TypedProgram &Program;
   DiagnosticEngine &Diags;
-  unsigned MaxRounds;
   EscapeAnalysisMode Mode;
 
   ValueStore Store;
+  Fixpoint Solver;
   /// (closure atom, arg) -> result, ⊥-seeded.
-  std::unordered_map<uint64_t, CacheEntry> ApplyCache;
+  std::unordered_map<uint64_t, Fixpoint::Entry> ApplyCache;
   /// (letrec inst, binding index) -> value, ⊥-seeded.
-  std::unordered_map<uint64_t, CacheEntry> BindingCache;
+  std::unordered_map<uint64_t, Fixpoint::Entry> BindingCache;
   std::unordered_map<uint32_t, std::vector<Symbol>> FreeVarCache;
   /// (call node, argument) -> callEscape verdict.
   std::unordered_map<uint64_t, std::optional<ParamEscape>> CallVerdicts;
@@ -332,25 +335,16 @@ private:
   unsigned ApplyDepth = 0;
   static constexpr unsigned MaxApplyDepth = 128;
   unsigned Widenings = 0;
-  uint64_t BodyEvals = 0;
 
-  unsigned CurrentRound = 0;
-  bool Changed = false;
-  /// Cache entries raised in the round being evaluated (convergence
-  /// telemetry; see runToFixpoint).
-  unsigned ChangedThisRound = 0;
   bool Tracing = false;
   std::vector<FixpointTraceEntry> Trace;
   std::vector<unsigned> RoundChanges;
-  unsigned LastRounds = 0;
-  bool HitLimit = false;
 
-  /// Why-provenance recorder (null: record nothing) and the namespaces
-  /// keeping this analyzer's cache keys apart from other attachees'.
-  explain::ProvenanceRecorder *Prov = nullptr;
-  uint32_t ProvBindingNs = 0;
-  uint32_t ProvApplyNs = 0;
-  uint32_t ProvGlobalNs = 0;
+  /// The namespaces keeping this analyzer's provenance keys apart from
+  /// other attachees' (the recorder itself is the solver's). Fact kinds
+  /// already separate bindings, applications and queries; the L queries
+  /// need their own, as their keys are node ids, not symbols.
+  uint32_t ProvNs = 0;
   uint32_t ProvLocalNs = 0;
 
   std::optional<EnvId> CachedTopEnv;

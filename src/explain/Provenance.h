@@ -19,7 +19,7 @@
 /// and guard every recording site with one pointer test. With the
 /// recorder detached there is zero provenance allocation.
 ///
-/// Recording protocol, mirroring a memoizing fixpoint evaluator:
+/// Recording protocol of a memoizing fixpoint evaluator:
 ///
 ///   uint32_t F = P->lookup(Kind, Ns, Key);       // hot path: no strings
 ///   if (F == NoFact)
@@ -32,6 +32,10 @@
 ///     P->raise(F, Round, renderedValue);         // snapshots frame reads
 ///   P->result(F, renderedValue);
 ///   P->close(F);
+///
+/// Its one caller is explain::FixpointSolver (explain/Fixpoint.h), the
+/// solver that the escape and liveness analyses share. Other producers
+/// only look up or create facts, add edges and set results.
 ///
 /// Keys are caller-chosen 64-bit cache keys; a namespace (allocated per
 /// attached analysis with allocNamespace()) keeps the key spaces of

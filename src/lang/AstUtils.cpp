@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_set>
 
 using namespace eal;
 
@@ -154,6 +155,25 @@ const Expr *eal::uncurryCall(const Expr *E,
   }
   std::reverse(Args.begin(), Args.end());
   return Cur;
+}
+
+void eal::forEachAllocSite(
+    const Expr *E, const std::function<void(const Expr *, PrimOp)> &Visit) {
+  // Preorder reaches a spine before its head PrimExpr, so every head is
+  // known by the time the walk gets to it: any other allocating PrimExpr
+  // is a first-class use.
+  std::unordered_set<uint32_t> SpineHeads;
+  forEachExpr(E, [&](const Expr *N) {
+    std::vector<const Expr *> Args;
+    const auto *P = dyn_cast<PrimExpr>(uncurryCall(N, Args));
+    if (!P || !isAllocPrim(P->op()))
+      return;
+    if (Args.size() == primOpArity(P->op()))
+      SpineHeads.insert(P->id());
+    else if (N != P || SpineHeads.count(P->id()))
+      return;
+    Visit(N, P->op());
+  });
 }
 
 unsigned eal::lambdaArity(const Expr *E) {

@@ -39,6 +39,19 @@ const Expr *uncurryCall(const Expr *E, std::vector<const Expr *> &Args);
 /// Counts the leading lambda binders of \p E (its syntactic arity).
 unsigned lambdaArity(const Expr *E);
 
+/// True for the primitives that allocate a cell: cons, mkpair and dcons.
+inline bool isAllocPrim(PrimOp Op) {
+  return Op == PrimOp::Cons || Op == PrimOp::MkPair || Op == PrimOp::DCons;
+}
+
+/// Calls \p Visit on every allocation site under \p E, in preorder, with
+/// its primitive. A site is the node the engines tag its cells with: the
+/// outermost AppExpr of a saturated cons/mkpair/dcons spine, or the
+/// PrimExpr of an allocating primitive used first-class (partially
+/// applied or passed around).
+void forEachAllocSite(const Expr *E,
+                      const std::function<void(const Expr *, PrimOp)> &Visit);
+
 } // namespace eal
 
 #endif // EAL_LANG_ASTUTILS_H

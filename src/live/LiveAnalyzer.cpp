@@ -7,7 +7,7 @@
 
 #include "live/LiveAnalyzer.h"
 
-#include "explain/Provenance.h"
+#include "explain/Fixpoint.h"
 #include "lang/AstUtils.h"
 #include "support/SourceManager.h"
 #include "support/Trace.h"
@@ -21,14 +21,6 @@
 using namespace eal;
 using namespace eal::live;
 
-namespace {
-
-bool isAllocOp(PrimOp Op) {
-  return Op == PrimOp::Cons || Op == PrimOp::MkPair || Op == PrimOp::DCons;
-}
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // The analyzer
 //===----------------------------------------------------------------------===//
@@ -37,7 +29,8 @@ class LiveAnalyzer::Impl {
 public:
   Impl(const AstContext &Ast, const Expr *Root, const TypedProgram *Typed,
        unsigned MaxRounds)
-      : Ast(Ast), Root(Root), Typed(Typed), MaxRounds(MaxRounds) {
+      : Ast(Ast), Root(Root), Typed(Typed),
+        Solver(SummaryLattice{&Ast}, MaxRounds) {
     collectTops();
     enumerateSites();
   }
@@ -45,9 +38,7 @@ public:
   const AstContext &Ast;
   const Expr *Root;
   const TypedProgram *Typed; // reporting refinement only; may be null
-  unsigned MaxRounds;
 
-  explain::ProvenanceRecorder *Prov = nullptr;
   uint32_t Ns = 0;
   uint32_t RootFact = explain::NoFact;
   bool FactsCreated = false;
@@ -67,37 +58,47 @@ public:
   std::unordered_map<Symbol, size_t> Tops; ///< name -> canonical (last) index
   const Expr *ProgramBody = nullptr;
 
-  /// One memoized summary: parameter demands of (binding, result demand).
-  struct Entry {
-    Symbol Fn;
-    Demand Dem;
+  /// One memoized summary: the parameter demands of a binding under one
+  /// result demand.
+  struct Summary {
+    const TopEntry *Fn = nullptr;
     std::vector<Demand> Params;
-    unsigned Round = 0;
-    bool InProgress = false;
-    uint32_t Fact = explain::NoFact;
+    bool operator==(const Summary &O) const { return Params == O.Params; }
   };
-  /// unique_ptr: recursive computeEntry inserts while holding references.
-  std::unordered_map<uint64_t, std::unique_ptr<Entry>> Summaries;
+  /// Summaries as the solver's lattice: joined parameter by parameter,
+  /// rendered as "x:<d,e>, y:...".
+  struct SummaryLattice {
+    using Value = Summary;
+    const AstContext *Ast;
+    Summary join(Summary A, const Summary &B) const {
+      for (size_t I = 0; I != A.Params.size(); ++I)
+        A.Params[I] = Demand::join(A.Params[I], B.Params[I]);
+      return A;
+    }
+    std::string render(const Summary &S) const {
+      std::string Out;
+      for (size_t I = 0; I != S.Params.size(); ++I) {
+        if (I)
+          Out += ", ";
+        Out += std::string(Ast->spelling(S.Fn->Params[I])) + ":" +
+               S.Params[I].str();
+      }
+      return Out.empty() ? std::string("()") : Out;
+    }
+  };
+  using Fixpoint = explain::FixpointSolver<SummaryLattice>;
+  Fixpoint Solver;
+  /// (binding, result demand) -> summary, ⊥-seeded.
+  std::unordered_map<uint64_t, Fixpoint::Entry> Summaries;
 
   /// Bindings that escaped into first-class use: all params ⊤.
   std::unordered_set<Symbol> Worst;
   /// Accumulated demand on non-lambda top-level bindings.
   std::unordered_map<Symbol, Demand> TopDemand;
 
-  struct SiteRec {
-    const Expr *Site = nullptr;
-    PrimOp Op = PrimOp::Cons;
-    Symbol Context;
-    Demand Dem;
-    uint32_t Fact = explain::NoFact;
-  };
   /// Ordered by node id so every iteration (facts, report, JSON) is
   /// deterministic.
-  std::map<uint32_t, SiteRec> Sites;
-
-  bool Changed = false;
-  unsigned CurRound = 0;
-  bool LimitHit = false;
+  std::map<uint32_t, SiteLive> Sites;
 
   /// Innermost liveness fact on whose behalf we are walking (summary
   /// being computed, or the program-result root).
@@ -144,29 +145,9 @@ public:
   }
 
   void enumerateSites() {
-    // A PrimExpr that heads a saturated spine is not a first-class use.
-    std::unordered_set<uint32_t> SaturatedHeads;
     auto Scan = [&](const Expr *E, Symbol Ctx) {
-      forEachExpr(E, [&](const Expr *N) {
-        if (const auto *App = dyn_cast<AppExpr>(N)) {
-          std::vector<const Expr *> Args;
-          const Expr *Callee = uncurryCall(App, Args);
-          if (const auto *P = dyn_cast<PrimExpr>(Callee))
-            if (Args.size() == primOpArity(P->op())) {
-              SaturatedHeads.insert(P->id());
-              if (isAllocOp(P->op()))
-                Sites.emplace(App->id(), SiteRec{App, P->op(), Ctx, {},
-                                                 explain::NoFact});
-            }
-        }
-      });
-      forEachExpr(E, [&](const Expr *N) {
-        if (const auto *P = dyn_cast<PrimExpr>(N))
-          if (isAllocOp(P->op()) && !SaturatedHeads.count(P->id()))
-            // First-class cons/mkpair: the engines tag cells allocated
-            // through the prim closure with the PrimExpr's node id.
-            Sites.emplace(P->id(),
-                          SiteRec{P, P->op(), Ctx, {}, explain::NoFact});
+      forEachAllocSite(E, [&](const Expr *Site, PrimOp Op) {
+        Sites.emplace(Site->id(), SiteLive{Site, Op, {}, Ctx});
       });
     };
     for (const TopEntry &T : TopOrder)
@@ -175,6 +156,7 @@ public:
   }
 
   void createFacts() {
+    explain::ProvenanceRecorder *Prov = Solver.provenance();
     if (!Prov || FactsCreated)
       return;
     FactsCreated = true;
@@ -195,34 +177,27 @@ public:
 
   //===--- Lattice bookkeeping --------------------------------------------==//
 
-  void note(bool Raised) { Changed = Changed || Raised; }
+  /// Joins \p D into \p Into; a rise forces another round.
+  bool raise(Demand &Into, Demand D) {
+    Demand J = Demand::join(Into, D);
+    if (J == Into)
+      return false;
+    Into = J;
+    Solver.markChanged();
+    return true;
+  }
 
   void joinSite(uint32_t Id, Demand D) {
     auto It = Sites.find(Id);
-    if (It == Sites.end())
-      return;
-    Demand J = Demand::join(It->second.Dem, D);
-    if (J != It->second.Dem) {
-      It->second.Dem = J;
-      Changed = true;
-      if (Prov && It->second.Fact != explain::NoFact &&
-          CurFact != explain::NoFact)
-        Prov->depend(It->second.Fact, CurFact);
-    }
-  }
-
-  void joinTop(Symbol Name, Demand D) {
-    Demand &Cur = TopDemand[Name]; // default ⊥
-    Demand J = Demand::join(Cur, D);
-    if (J != Cur) {
-      Cur = J;
-      Changed = true;
-    }
+    explain::ProvenanceRecorder *Prov = Solver.provenance();
+    if (It != Sites.end() && raise(It->second.Dem, D) && Prov &&
+        It->second.Fact != explain::NoFact && CurFact != explain::NoFact)
+      Prov->depend(It->second.Fact, CurFact);
   }
 
   void markWorst(Symbol Name) {
     if (Worst.insert(Name).second)
-      Changed = true;
+      Solver.markChanged();
   }
 
   /// Joins \p D into the innermost local binding of \p Name. Returns
@@ -249,97 +224,51 @@ public:
     return (1ULL << 48) | (static_cast<uint64_t>(Fn.id()) << 16) | D.encode();
   }
 
-  std::string renderParams(const TopEntry &T, const std::vector<Demand> &Ps) {
-    std::string S;
-    for (size_t I = 0; I != Ps.size(); ++I) {
-      if (I)
-        S += ", ";
-      S += std::string(Ast.spelling(T.Params[I])) + ":" + Ps[I].str();
-    }
-    return S.empty() ? std::string("()") : S;
-  }
-
-  /// The call-site query: parameter demands of \p Fn under result
-  /// demand \p D. Worst-cased bindings answer ⊤ everywhere but their
-  /// body is still walked (under ⊤) so their sites accrue demand.
-  std::vector<Demand> summaryFor(Symbol Fn, Demand D) {
-    auto It = Tops.find(Fn);
-    if (It == Tops.end())
-      return {};
-    const TopEntry &T = TopOrder[It->second];
-    if (!T.IsLambda || T.Ambiguous)
+  /// The call-site query: parameter demands of lambda binding \p T
+  /// under result demand \p D. Worst-cased bindings answer ⊤ everywhere
+  /// but their body is still walked (under ⊤) so their sites accrue
+  /// demand.
+  std::vector<Demand> summaryFor(const TopEntry &T, Demand D) {
+    if (T.Ambiguous)
       return std::vector<Demand>(T.Arity, Demand::top());
-    if (Worst.count(Fn)) {
-      computeEntry(Fn, Demand::top());
+    if (Worst.count(T.Name)) {
+      computeEntry(T, Demand::top());
       return std::vector<Demand>(T.Arity, Demand::top());
     }
-    return computeEntry(Fn, D);
+    return computeEntry(T, D);
   }
 
-  std::vector<Demand> computeEntry(Symbol Fn, Demand D) {
+  /// The summary of canonical lambda binding \p T under demand \p D.
+  std::vector<Demand> computeEntry(const TopEntry &T, Demand D) {
     D = D.normalized();
-    const TopEntry &T = TopOrder[Tops.at(Fn)];
-    uint64_t Key = summaryKey(Fn, D);
+    uint64_t Key = summaryKey(T.Name, D);
     auto [It, IsNew] = Summaries.try_emplace(Key);
-    if (IsNew) {
-      It->second = std::make_unique<Entry>();
-      Entry &Fresh = *It->second;
-      Fresh.Fn = Fn;
-      Fresh.Dem = D;
-      Fresh.Params.assign(T.Arity, Demand::bottom());
-      if (Prov) {
-        std::string Label =
-            std::string("live ") + std::string(Ast.spelling(Fn)) + " @ " +
-            D.str();
-        Fresh.Fact =
-            Prov->create(explain::FactKind::Liveness, Ns, Key,
-                         std::move(Label), "live-summary (backward)", T.Loc);
-      }
-    }
-    Entry *E = It->second.get();
-    if (Prov && E->Fact != explain::NoFact)
-      Prov->read(E->Fact);
-    // Recursive self-reference and once-per-round recomputation both
-    // answer the current (under-)approximation; the outer round loop
-    // re-runs until nothing rises (the §3.5 memoized fixpoint shape).
-    if (E->InProgress || E->Round == CurRound)
-      return E->Params;
-    E->InProgress = true;
-    E->Round = CurRound;
-    if (Prov && E->Fact != explain::NoFact)
-      Prov->open(E->Fact);
-
-    size_t Base = Locals.size();
-    for (Symbol P : T.Params)
-      Locals.emplace_back(P, Demand::bottom());
-    uint32_t SavedFact = CurFact;
-    CurFact = E->Fact;
-    walk(T.Body, D);
-    CurFact = SavedFact;
-    std::vector<Demand> Collected(T.Arity);
-    for (size_t I = 0; I != T.Arity; ++I)
-      Collected[I] = Locals[Base + I].second;
-    Locals.resize(Base);
-
-    bool Raised = false;
-    for (size_t I = 0; I != T.Arity; ++I) {
-      Demand J = Demand::join(E->Params[I], Collected[I]);
-      if (J != E->Params[I]) {
-        E->Params[I] = J;
-        Raised = true;
-      }
-    }
-    if (Raised)
-      Changed = true;
-    if (Prov && E->Fact != explain::NoFact) {
-      std::string Rendered = renderParams(T, E->Params);
-      if (Raised)
-        Prov->raise(E->Fact, CurRound, Rendered);
-      Prov->result(E->Fact, std::move(Rendered));
-      Prov->close(E->Fact);
-    }
-    E->InProgress = false;
-    return E->Params;
+    Fixpoint::Entry &E = It->second;
+    if (IsNew)
+      E.Val = Summary{&T, std::vector<Demand>(T.Arity, Demand::bottom())};
+    Solver.evaluate(
+        E,
+        {explain::FactKind::Liveness, Ns, Key, "live-summary (backward)",
+         T.Loc},
+        [&] {
+          return std::string("live ") + std::string(Ast.spelling(T.Name)) +
+                 " @ " + D.str();
+        },
+        [&](uint32_t Fact) {
+          size_t Base = Locals.size();
+          for (Symbol P : T.Params)
+            Locals.emplace_back(P, Demand::bottom());
+          uint32_t SavedFact = CurFact;
+          CurFact = Fact;
+          walk(T.Body, D);
+          CurFact = SavedFact;
+          Summary Collected{&T, std::vector<Demand>(T.Arity)};
+          for (size_t I = 0; I != T.Arity; ++I)
+            Collected.Params[I] = Locals[Base + I].second;
+          Locals.resize(Base);
+          return Collected;
+        });
+    return E.Val.Params;
   }
 
   //===--- The backward walk ----------------------------------------------==//
@@ -406,11 +335,10 @@ public:
     case ExprKind::NilLit:
       return;
     case ExprKind::Prim: {
-      const auto *P = cast<PrimExpr>(E);
-      // First-class allocator: cells allocated through the resulting
-      // prim closure carry this node's id; demand unknowable — ⊤.
-      if (isAllocOp(P->op()))
-        joinSite(P->id(), Demand::top());
+      // A first-class allocator is a site: cells allocated through the
+      // resulting prim closure carry this node's id; demand unknowable —
+      // ⊤. Any other primitive is no site, and joinSite ignores it.
+      joinSite(E->id(), Demand::top());
       return;
     }
     case ExprKind::Var: {
@@ -425,7 +353,7 @@ public:
           // stored in data, returned): callers are invisible — worst.
           markWorst(V->name());
         else
-          joinTop(V->name(), D);
+          raise(TopDemand[V->name()], D); // default ⊥
       }
       return;
     }
@@ -493,7 +421,7 @@ public:
             !TopOrder[It->second].Ambiguous) {
           const TopEntry &T = TopOrder[It->second];
           if (Args.size() == T.Arity) {
-            std::vector<Demand> Ps = summaryFor(V->name(), D);
+            std::vector<Demand> Ps = summaryFor(T, D);
             for (size_t I = 0; I != Args.size(); ++I)
               walk(Args[I], Ps[I]);
             return;
@@ -545,7 +473,7 @@ public:
         continue;
       }
       if (Worst.count(T.Name))
-        computeEntry(T.Name, Demand::top());
+        computeEntry(T, Demand::top());
       // Non-worst lambdas are walked on demand, via call-site
       // summaries. Never-called ones never run: their sites stay ⊥,
       // vacuously safe.
@@ -553,31 +481,30 @@ public:
     CurFact = SavedFact;
   }
 
-  bool iterate() {
-    do {
-      Changed = false;
-      ++CurRound;
-      pass();
-    } while (Changed && CurRound < MaxRounds);
-    LimitHit = LimitHit || Changed;
-    return !Changed;
-  }
-
   //===--- Drivers --------------------------------------------------------==//
 
   LiveReport run() {
     createFacts();
-    iterate();
-    if (LimitHit)
+    Solver.run([&] { pass(); });
+    if (Solver.budgetHit())
       // Did not converge (round budget): forcing every site live keeps
       // the dead-site claims sound.
       for (auto &[Id, S] : Sites)
         joinSite(Id, Demand::top());
 
     LiveReport R;
-    R.Rounds = CurRound;
+    R.Rounds = Solver.totalRounds();
     R.SummaryEntries = Summaries.size();
-    R.IterationLimitHit = LimitHit;
+    R.IterationLimitHit = Solver.budgetHit();
+    // Per function, the join over every analyzed result demand (⊤
+    // dominates when the function was called from a fully demanded
+    // context).
+    std::unordered_map<Symbol, std::vector<Demand>> Joined;
+    for (const auto &[Key, E] : Summaries) {
+      auto [It, IsNew] = Joined.try_emplace(E.Val.Fn->Name, E.Val.Params);
+      for (size_t P = 0; !IsNew && P != It->second.size(); ++P)
+        It->second[P] = Demand::join(It->second[P], E.Val.Params[P]);
+    }
     for (size_t I = 0; I != TopOrder.size(); ++I) {
       const TopEntry &T = TopOrder[I];
       if (!T.IsLambda || Tops.at(T.Name) != I)
@@ -588,29 +515,19 @@ public:
       F.Arity = T.Arity;
       F.ParamNames = T.Params;
       F.WorstCased = Worst.count(T.Name) || T.Ambiguous;
-      if (F.WorstCased) {
+      auto It = Joined.find(T.Name);
+      if (F.WorstCased)
         F.Params.assign(T.Arity, Demand::top());
-      } else {
-        // Join over every analyzed result demand (⊤ dominates when the
-        // function was called from a fully demanded context). A
-        // never-called function reports all-⊥.
+      else if (It != Joined.end())
+        F.Params = It->second;
+      else // never called
         F.Params.assign(T.Arity, Demand::bottom());
-        for (const auto &[Key, E] : Summaries) {
-          if (E->Fn != T.Name)
-            continue;
-          for (size_t P = 0; P != T.Arity; ++P)
-            F.Params[P] = Demand::join(F.Params[P], E->Params[P]);
-        }
-      }
       R.Functions.push_back(std::move(F));
     }
     // Sites inside a function that was never analyzed (no summary, not
     // worst-cased, unambiguous) sit in code the program can never run:
     // their ⊥ is dead *code*, which the dead-data lint must not claim
     // credit for.
-    std::unordered_set<uint32_t> Analyzed;
-    for (const auto &[Key, E] : Summaries)
-      Analyzed.insert(E->Fn.id());
     auto unreached = [&](Symbol Ctx) {
       if (!Ctx.isValid())
         return false; // program body always runs
@@ -620,14 +537,15 @@ public:
       const TopEntry &T = TopOrder[It->second];
       if (!T.IsLambda || T.Ambiguous || Worst.count(Ctx))
         return false;
-      return !Analyzed.count(Ctx.id());
+      return !Joined.count(Ctx);
     };
-    for (const auto &[Id, S] : Sites)
-      R.Sites.push_back(SiteLive{S.Site, S.Op, S.Dem, S.Context, S.Fact,
-                                 unreached(S.Context)});
-    if (Prov)
-      for (const auto &[Id, S] : Sites)
+    explain::ProvenanceRecorder *Prov = Solver.provenance();
+    for (auto [Id, S] : Sites) {
+      S.Unreached = unreached(S.Context);
+      R.Sites.push_back(S);
+      if (Prov)
         Prov->result(S.Fact, S.Dem.str());
+    }
     return R;
   }
 
@@ -635,16 +553,12 @@ public:
     auto It = Tops.find(Fn);
     if (It == Tops.end() || !TopOrder[It->second].IsLambda)
       return {};
+    const TopEntry &T = TopOrder[It->second];
     createFacts();
     std::vector<Demand> Ps;
-    do {
-      Changed = false;
-      ++CurRound;
-      Ps = summaryFor(Fn, Result);
-    } while (Changed && CurRound < MaxRounds);
-    LimitHit = LimitHit || Changed;
-    if (LimitHit)
-      return std::vector<Demand>(TopOrder[It->second].Arity, Demand::top());
+    Solver.run([&] { Ps = summaryFor(T, Result); });
+    if (Solver.budgetHit())
+      return std::vector<Demand>(T.Arity, Demand::top());
     return Ps;
   }
 };
@@ -660,7 +574,7 @@ LiveAnalyzer::LiveAnalyzer(const AstContext &Ast, const Expr *Root,
 LiveAnalyzer::~LiveAnalyzer() = default;
 
 void LiveAnalyzer::attachProvenance(explain::ProvenanceRecorder *P) {
-  TheImpl->Prov = P;
+  TheImpl->Solver.attachProvenance(P);
 }
 
 LiveReport LiveAnalyzer::run() { return TheImpl->run(); }

@@ -13,9 +13,10 @@
 /// consumer ever *read*". An allocation whose joined demand is ⊥ builds
 /// dead data — cells no `car`/`cdr`/`fst`/`snd` will ever touch.
 ///
-/// Structure mirrors the escape analyzer's memoized fixpoint (§3.5):
-/// per-function summaries keyed by (binding, result demand) are seeded
-/// at ⊥ and recomputed in monotone rounds until nothing rises. Theorem 1
+/// Per-function summaries keyed by (binding, result demand) are entries
+/// of the memoized fixpoint solver the escape analyzer also runs on
+/// (explain/Fixpoint.h, §3.5): seeded at ⊥ and recomputed in monotone
+/// rounds until nothing rises. Theorem 1
 /// (polymorphic invariance, §5) is what justifies summarizing a binding
 /// once per *demand* rather than once per type instance: liveness, like
 /// escape behaviour, is invariant under the type instantiations a

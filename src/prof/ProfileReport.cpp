@@ -14,29 +14,11 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 using namespace eal;
 using namespace eal::prof;
 
 namespace {
-
-bool isAllocPrim(PrimOp Op) {
-  return Op == PrimOp::Cons || Op == PrimOp::MkPair || Op == PrimOp::DCons;
-}
-
-const char *allocPrimName(PrimOp Op) {
-  switch (Op) {
-  case PrimOp::Cons:
-    return "cons";
-  case PrimOp::MkPair:
-    return "pair";
-  case PrimOp::DCons:
-    return "dcons";
-  default:
-    return "?";
-  }
-}
 
 /// "file:line:col" (or "file:?" for synthesized locations).
 std::string renderLoc(const SourceManager &SM, SourceLoc Loc) {
@@ -85,47 +67,12 @@ ProfileReport::ProfileReport(const AstContext &Ast, const SourceManager &SM,
 }
 
 void ProfileReport::buildSiteTable() {
-  // Pass 1: App nodes in callee position are interior to a spine — the
-  // site id of a saturated `cons e1 e2` is its *outermost* App node
-  // (matching the compiler and the interpreter's evalCallSpine).
-  std::unordered_set<uint32_t> InnerApps;
-  forEachExpr(Root, [&](const Expr *E) {
-    if (const auto *A = dyn_cast<AppExpr>(E))
-      if (isa<AppExpr>(A->fn()))
-        InnerApps.insert(A->fn()->id());
-  });
-
-  // Pass 2: saturated direct cons/pair/dcons spines.
-  std::unordered_set<uint32_t> SpineCallees;
-  forEachExpr(Root, [&](const Expr *E) {
-    const auto *A = dyn_cast<AppExpr>(E);
-    if (!A || InnerApps.count(A->id()))
-      return;
-    std::vector<const Expr *> Args;
-    const Expr *Callee = uncurryCall(A, Args);
-    const auto *P = dyn_cast<PrimExpr>(Callee);
-    if (!P || !isAllocPrim(P->op()) || Args.size() != primOpArity(P->op()))
-      return;
-    SpineCallees.insert(P->id());
+  forEachAllocSite(Root, [&](const Expr *E, PrimOp Op) {
     Site S;
-    S.Id = A->id();
-    S.Loc = A->loc();
-    S.Op = P->op();
-    SiteTable.push_back(std::move(S));
-  });
-
-  // Pass 3: cons/pair occurrences used as *values* (partially applied or
-  // passed around). Cells allocated through such a closure are tagged
-  // with the PrimExpr's own node id (PrimNodeId / Chunk::PrimRef::Site).
-  forEachExpr(Root, [&](const Expr *E) {
-    const auto *P = dyn_cast<PrimExpr>(E);
-    if (!P || !isAllocPrim(P->op()) || SpineCallees.count(P->id()))
-      return;
-    Site S;
-    S.Id = P->id();
-    S.Loc = P->loc();
-    S.Op = P->op();
-    S.PrimValue = true;
+    S.Id = E->id();
+    S.Loc = E->loc();
+    S.Op = Op;
+    S.PrimValue = isa<PrimExpr>(E);
     SiteTable.push_back(std::move(S));
   });
 
@@ -241,7 +188,7 @@ std::string ProfileReport::toJson() const {
     LineColumn LC = SM.lineColumn(S.Loc);
     OS << (I ? "," : "") << "\n    {\"id\": " << S.Id
        << ", \"line\": " << LC.Line << ", \"col\": " << LC.Column
-       << ", \"prim\": " << obs::jsonQuote(allocPrimName(S.Op))
+       << ", \"prim\": " << obs::jsonQuote(primOpName(S.Op))
        << ", \"prim_value\": " << (S.PrimValue ? "true" : "false")
        << ", \"planned\": " << obs::jsonQuote(S.Planned)
        << ", \"why\": " << obs::jsonQuote(S.Why)
@@ -370,7 +317,7 @@ std::string ProfileReport::renderSummary() const {
   OS << "profile: " << SM.name() << "\n";
   OS << SiteTable.size() << " allocation site(s)\n";
   for (const Site &S : SiteTable) {
-    OS << "  " << renderLoc(SM, S.Loc) << ": " << allocPrimName(S.Op)
+    OS << "  " << renderLoc(SM, S.Loc) << ": " << primOpName(S.Op)
        << (S.PrimValue ? " (as value)" : "") << " -> " << S.Planned;
     for (const EngineProfile &E : Engines) {
       if (!E.P)

@@ -80,8 +80,6 @@ struct SpecPlannerOptions {
   /// enables covers a site with at least this many profiled heap
   /// allocations — no point guarding a site that never allocates.
   uint64_t HotMinAllocs = 8;
-  /// At most this many guards per program (preorder over the AST).
-  unsigned MaxGuards = 16;
   /// The pruned-clone re-analysis must match the conservative pipeline's
   /// configuration, or the back-mapped directives would compare apples
   /// to oranges.

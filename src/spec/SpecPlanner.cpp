@@ -20,6 +20,9 @@ using namespace eal::spec;
 
 namespace {
 
+/// At most this many guards per program (preorder over the AST).
+constexpr unsigned MaxGuards = 16;
+
 /// Clones the program with one if-branch pruned: the target If becomes
 /// `let $spec = cond in kept` — the condition is still evaluated (so the
 /// clone's heap behavior matches the real program up to the guard), but
@@ -117,7 +120,7 @@ SpecPlan spec::planSpeculation(AstContext &Ast, const Expr *Root,
   Symbol GuardSym = Ast.intern("$spec");
 
   for (const Candidate &C : Candidates) {
-    if (Plan.Specs.size() >= Options.MaxGuards)
+    if (Plan.Specs.size() >= MaxGuards)
       break;
     // A branch can appear under at most one guard (nested prunable ifs
     // share deopt behavior anyway — the protocol is global).

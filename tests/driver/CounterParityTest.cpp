@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <string>
 
@@ -190,6 +191,37 @@ TEST_F(PipelineTraceTest, ExecuteSubphasesCoverExecute) {
     }
     EXPECT_GE(Best, 0.9) << (Engine == ExecutionEngine::Bytecode ? "vm"
                                                                  : "tree");
+  }
+}
+
+TEST_F(PipelineTraceTest, TopLevelPhasesCoverRunPipeline) {
+  // The top-level phases account for the wall time of the whole
+  // runPipeline call, on both engines. Nested entries (the layers inside
+  // "optimize", and compile/heap-init/run inside "execute") are skipped:
+  // their parents already count them. Best of three runs, as above.
+  for (ExecutionEngine Engine :
+       {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode}) {
+    double Best = 0;
+    for (int Run = 0; Run != 3; ++Run) {
+      auto Start = std::chrono::steady_clock::now();
+      PipelineResult R =
+          runPipeline(sortProgram(), engineOptions(Engine, true));
+      auto Wall = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - Start)
+                      .count();
+      ASSERT_TRUE(R.Success) << R.diagnostics();
+      int64_t TopLevel = 0;
+      for (const auto &[Name, Micros] : R.PhaseMicros)
+        if (Name != "escape" && Name != "sharing" && Name != "retype" &&
+            Name != "final-escape" && Name != "plan" && Name != "compile" &&
+            Name != "heap-init" && Name != "run")
+          TopLevel += Micros;
+      ASSERT_GT(Wall, 0);
+      Best = std::max(Best, static_cast<double>(TopLevel) /
+                                static_cast<double>(Wall));
+    }
+    EXPECT_GE(Best, 0.95) << (Engine == ExecutionEngine::Bytecode ? "vm"
+                                                                  : "tree");
   }
 }
 
