@@ -60,7 +60,7 @@ void runPipelineImpl(const std::string &Source,
   // work; run a counting pre-pass only when a trace is being recorded,
   // where a complete per-phase picture is worth one extra scan.
   if (obs::tracingEnabled()) {
-    obs::rec::PhaseScope T(&R.PhaseMicros, "lex");
+    obs::PhaseTimer T(&R.PhaseMicros, "lex");
     DiagnosticEngine ScratchDiags;
     Lexer L(R.SM->buffer(), ScratchDiags);
     uint64_t Tokens = 0;
@@ -71,7 +71,7 @@ void runPipelineImpl(const std::string &Source,
   }
 
   {
-    obs::rec::PhaseScope T(&R.PhaseMicros, "parse");
+    obs::PhaseTimer T(&R.PhaseMicros, "parse");
     Parser P(R.SM->buffer(), *R.Ast, *R.Diags);
     R.ParsedRoot = P.parseProgram();
     T.span().arg("nodes", static_cast<uint64_t>(R.Ast->numNodes()));
@@ -86,7 +86,7 @@ void runPipelineImpl(const std::string &Source,
   if (Options.RunLint || Options.RunOracle || RunLive)
     R.Check.emplace();
   if (Options.RunLint) {
-    obs::rec::PhaseScope T(&R.PhaseMicros, "lint");
+    obs::PhaseTimer T(&R.PhaseMicros, "lint");
     check::LintOptions LO;
     if (Options.IncludeStdlib)
       for (std::string_view Name : stdlibBindingNames())
@@ -96,7 +96,7 @@ void runPipelineImpl(const std::string &Source,
   }
 
   {
-    obs::rec::PhaseScope T(&R.PhaseMicros, "type-inference");
+    obs::PhaseTimer T(&R.PhaseMicros, "type-inference");
     TypeInference TI(*R.Ast, *R.Types, *R.Diags, Options.Mode);
     R.Typed = TI.run(R.ParsedRoot);
   }
@@ -114,7 +114,7 @@ void runPipelineImpl(const std::string &Source,
     OptConfig.Explain = R.Prov.get();
   }
   {
-    obs::rec::PhaseScope T(&R.PhaseMicros, "optimize");
+    obs::PhaseTimer T(&R.PhaseMicros, "optimize");
     R.Optimized = optimizeProgram(*R.Ast, *R.Types, *R.Typed, *R.Diags,
                                   OptConfig, &R.PhaseMicros);
   }
@@ -139,7 +139,7 @@ void runPipelineImpl(const std::string &Source,
   };
 
   if (Options.RunLint || Options.RunExplain) {
-    obs::rec::PhaseScope T(&R.PhaseMicros, "explain");
+    obs::PhaseTimer T(&R.PhaseMicros, "explain");
     const std::vector<explain::SiteInfo> &Sites = classifySitesOnce();
     if (Options.RunLint)
       check::explainBlockedAllocations(*R.Ast, FinalTyped, Sites,
@@ -158,7 +158,7 @@ void runPipelineImpl(const std::string &Source,
     // execute, so site ids line up with the runtime's ConsCell::SiteId
     // tags. Strictly observational: nothing downstream consults the
     // report unless LiveGcPrune arms the GC consumer.
-    obs::rec::PhaseScope T(&R.PhaseMicros, "liveness");
+    obs::PhaseTimer T(&R.PhaseMicros, "liveness");
     live::LiveAnalyzer LA(*R.Ast, R.Optimized->Root, &FinalTyped);
     if (R.Prov)
       LA.attachProvenance(R.Prov.get());
@@ -178,7 +178,7 @@ void runPipelineImpl(const std::string &Source,
 
   if (!Options.RunProgram && !Options.RunOracle && !Options.RunLiveOracle) {
     if (Options.CompileBytecode) {
-      obs::rec::PhaseScope T(&R.PhaseMicros, "compile");
+      obs::PhaseTimer T(&R.PhaseMicros, "compile");
       R.Code = compileToBytecode(*R.Ast, R.Optimized->Root,
                                  &R.Optimized->Plan, *R.Diags);
       if (!R.Code)
@@ -190,7 +190,7 @@ void runPipelineImpl(const std::string &Source,
 
   ExecutionEngine Engine = Options.Engine;
   Interpreter::Options RunOpts = Options.Run;
-  prof::Profiler *Profile = Options.Obs.Profile;
+  prof::Profiler *Profile = RunOpts.Profiler = Options.Obs.Profile;
 
   if (Options.Spec.Enable) {
     // Profiling pre-run (tree-walker: the branch hooks live there). nml
@@ -203,12 +203,13 @@ void runPipelineImpl(const std::string &Source,
     prof::Profiler PreProfile;
     std::optional<RtValue> PreValue;
     {
-      obs::rec::PhaseScope T(&R.PhaseMicros, "spec-profile");
+      obs::PhaseTimer T(&R.PhaseMicros, "spec-profile");
       DiagnosticEngine PreDiags;
       // Only the planner's profiler observes it: the caller's consumers
       // and any recording see the measured run alone.
       Interpreter::Options PreOpts = Options.Run;
       PreOpts.Observer = &PreProfile;
+      PreOpts.Profiler = nullptr;
       PreOpts.Spec = &Branches;
       Interpreter Pre(*R.Ast, FinalTyped, &R.Optimized->Plan,
                       PreDiags, PreOpts);
@@ -217,7 +218,7 @@ void runPipelineImpl(const std::string &Source,
                    static_cast<uint64_t>(Branches.numBranchesSeen()));
     }
     if (PreValue) {
-      obs::rec::PhaseScope T(&R.PhaseMicros, "spec-plan");
+      obs::PhaseTimer T(&R.PhaseMicros, "spec-plan");
       spec::SpecPlannerOptions SPO;
       SPO.ColdMaxEntries = Options.Spec.ColdMaxEntries;
       SPO.HotMinAllocs = Options.Spec.HotMinAllocs;
@@ -244,7 +245,7 @@ void runPipelineImpl(const std::string &Source,
       R.SpecPlan ? &R.SpecPlan->Merged : &R.Optimized->Plan;
 
   if (Options.RunOracle) {
-    obs::rec::PhaseScope T(&R.PhaseMicros, "claims");
+    obs::PhaseTimer T(&R.PhaseMicros, "claims");
     // The oracle checks activation events, which only the tree-walker
     // reports, and a sound plan must also survive cell-by-cell arena-free
     // validation.
@@ -255,7 +256,7 @@ void runPipelineImpl(const std::string &Source,
     T.span().arg("claims", static_cast<uint64_t>(R.Oracle->claimCount()));
   }
   if (Options.RunLiveOracle) {
-    obs::rec::PhaseScope T(&R.PhaseMicros, "live-claims");
+    obs::PhaseTimer T(&R.PhaseMicros, "live-claims");
     check::LiveClaims Claims;
     Claims.DeadSites = R.Live->deadSites();
     for (const live::SiteLive &S : R.Live->Sites)
@@ -280,11 +281,11 @@ void runPipelineImpl(const std::string &Source,
   // "execute" nests compile (VM only), heap-init and run, the way the
   // analysis layers nest inside "optimize".
   {
-    obs::rec::PhaseScope T(&R.PhaseMicros, "execute");
+    obs::PhaseTimer T(&R.PhaseMicros, "execute");
     const bool OnVm = Engine == ExecutionEngine::Bytecode;
     T.span().arg("engine", OnVm ? "bytecode" : "tree-walker");
     if (OnVm) {
-      obs::rec::PhaseScope C(&R.PhaseMicros, "compile");
+      obs::PhaseTimer C(&R.PhaseMicros, "compile");
       R.Code = compileToBytecode(
           *R.Ast, R.Optimized->Root, ExecPlan, *R.Diags,
           R.SpecRT ? &R.SpecPlan->GuardsByBranch : nullptr);
@@ -292,17 +293,9 @@ void runPipelineImpl(const std::string &Source,
         return;
     }
     {
-      obs::rec::PhaseScope H(&R.PhaseMicros, "heap-init");
+      obs::PhaseTimer H(&R.PhaseMicros, "heap-init");
       if (OnVm) {
-        Vm::Options VO;
-        VO.HeapCapacity = RunOpts.HeapCapacity;
-        VO.AllowHeapGrowth = RunOpts.AllowHeapGrowth;
-        VO.MaxSteps = RunOpts.MaxSteps;
-        VO.ValidateArenaFrees = RunOpts.ValidateArenaFrees;
-        VO.Observer = RunOpts.Observer;
-        VO.Profiler = Profile;
-        VO.Spec = RunOpts.Spec;
-        R.TheVm = std::make_unique<Vm>(*R.Code, *R.Diags, VO);
+        R.TheVm = std::make_unique<Vm>(*R.Code, *R.Diags, RunOpts);
       } else {
         R.Interp = std::make_unique<Interpreter>(*R.Ast, FinalTyped, ExecPlan,
                                                  *R.Diags, RunOpts);
@@ -314,17 +307,13 @@ void runPipelineImpl(const std::string &Source,
         R.SpecRT->setHeap(&TheHeap);
     }
     {
-      obs::rec::PhaseScope Run(&R.PhaseMicros, "run");
+      obs::PhaseTimer Run(&R.PhaseMicros, "run");
       if (OnVm) {
         R.Value = R.TheVm->run();
         R.Stats = R.TheVm->stats();
       } else {
-        if (Profile)
-          Profile->setStepClock(&R.Interp->stats().Steps);
         R.Value = Options.UseLargeStack ? R.Interp->runOnLargeStack()
                                         : R.Interp->run();
-        if (Profile)
-          Profile->finish();
         R.Stats = R.Interp->stats();
       }
       Run.span().arg("steps", R.Stats.Steps);

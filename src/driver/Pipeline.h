@@ -28,6 +28,7 @@
 #include "check/Oracle.h"
 #include "explain/Explain.h"
 #include "live/LiveAnalyzer.h"
+#include "obs/Recorder.h"
 #include "opt/Optimizer.h"
 #include "runtime/Interpreter.h"
 #include "spec/SpecReport.h"
@@ -35,7 +36,6 @@
 #include "vm/Vm.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
-#include "support/Trace.h"
 
 #include <memory>
 #include <optional>
@@ -107,7 +107,8 @@ struct PipelineOptions {
   bool CompileBytecode = false;
   /// Which engine runs it.
   ExecutionEngine Engine = ExecutionEngine::TreeWalker;
-  /// Interpreter knobs (heap size, fuel, arena validation).
+  /// Engine knobs (heap size, fuel, arena validation). The profiler
+  /// comes from Obs.Profile; Run.Profiler is overwritten.
   Interpreter::Options Run;
   /// Execute on a dedicated big-stack thread (deep recursion needs it).
   bool UseLargeStack = true;

@@ -40,21 +40,6 @@ const char *explain::siteStorageName(SiteStorage S) {
 
 namespace {
 
-/// Matches a saturated `cons e1 e2` / pair construction; fills operands.
-bool isAllocApp(const Expr *E, PrimOp &Op, const Expr *&Head,
-                const Expr *&Tail) {
-  std::vector<const Expr *> Args;
-  const Expr *Callee = uncurryCall(E, Args);
-  const auto *Prim = dyn_cast<PrimExpr>(Callee);
-  if (!Prim || Args.size() != 2 ||
-      (Prim->op() != PrimOp::Cons && Prim->op() != PrimOp::MkPair))
-    return false;
-  Op = Prim->op();
-  Head = Args[0];
-  Tail = Args[1];
-  return true;
-}
-
 /// Walks the final program with the same context propagation as the EAL-O
 /// linter pass and records a SiteInfo for *every* allocation site.
 class SiteClassifier {
@@ -129,12 +114,11 @@ private:
       return;
     }
     case ExprKind::App: {
-      PrimOp Op;
       const Expr *Head = nullptr, *Tail = nullptr;
-      if (isAllocApp(E, Op, Head, Tail)) {
-        record(E, Op, Ctx);
+      if (std::optional<PrimOp> Op = matchConsApp(E, Head, Tail)) {
+        record(E, *Op, Ctx);
         SiteContext HeadCtx = Ctx;
-        if (Op == PrimOp::Cons && Ctx.Kind == SiteContext::Protected &&
+        if (*Op == PrimOp::Cons && Ctx.Kind == SiteContext::Protected &&
             !Ctx.Detached)
           ++HeadCtx.Level;
         else

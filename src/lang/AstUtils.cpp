@@ -157,6 +157,22 @@ const Expr *eal::uncurryCall(const Expr *E,
   return Cur;
 }
 
+std::optional<PrimOp> eal::matchConsApp(const Expr *E, const Expr *&Head,
+                                        const Expr *&Tail) {
+  const auto *Outer = dyn_cast<AppExpr>(E);
+  if (!Outer)
+    return std::nullopt;
+  const auto *Inner = dyn_cast<AppExpr>(Outer->fn());
+  if (!Inner)
+    return std::nullopt;
+  const auto *Prim = dyn_cast<PrimExpr>(Inner->fn());
+  if (!Prim || (Prim->op() != PrimOp::Cons && Prim->op() != PrimOp::MkPair))
+    return std::nullopt;
+  Head = Inner->arg();
+  Tail = Outer->arg();
+  return Prim->op();
+}
+
 void eal::forEachAllocSite(
     const Expr *E, const std::function<void(const Expr *, PrimOp)> &Visit) {
   // Preorder reaches a spine before its head PrimExpr, so every head is

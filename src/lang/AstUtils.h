@@ -18,6 +18,7 @@
 #include "lang/Ast.h"
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 namespace eal {
@@ -43,6 +44,11 @@ unsigned lambdaArity(const Expr *E);
 inline bool isAllocPrim(PrimOp Op) {
   return Op == PrimOp::Cons || Op == PrimOp::MkPair || Op == PrimOp::DCons;
 }
+
+/// Matches a saturated cell construction `cons e1 e2` or `mkpair e1 e2`:
+/// returns its primitive and fills the operands, or returns nullopt.
+std::optional<PrimOp> matchConsApp(const Expr *E, const Expr *&Head,
+                                   const Expr *&Tail);
 
 /// Calls \p Visit on every allocation site under \p E, in preorder, with
 /// its primitive. A site is the node the engines tag its cells with: the

@@ -12,7 +12,8 @@
 //   - the string interner feeding 16-bit name ids into events;
 //   - the eal-rec-v1 writer (NDJSON and binary, docs/RECORDER.md);
 //   - the streaming drain thread (--record=FILE);
-//   - the crash-dump path (setDumpPath/dumpNow + SIGABRT hook).
+//   - the crash-dump path (setDumpPath/dumpNow + SIGABRT hook);
+//   - PhaseTimer, whose phases become the timeline's bands.
 //
 // Lock order: DumpM before M before RecentM. The emit fast path takes
 // no lock at all (thread-local ring handle + lock-free push).
@@ -22,6 +23,7 @@
 #include "obs/Recorder.h"
 
 #include "obs/EventRing.h"
+#include "support/Metrics.h"
 
 #include <algorithm>
 #include <chrono>
@@ -541,4 +543,31 @@ void rec::finalCounter(std::string_view Key, uint64_t Value) {
       return;
     }
   S.Counters.emplace_back(std::string(Key), Value);
+}
+
+//===----------------------------------------------------------------------===//
+// PhaseTimer
+//===----------------------------------------------------------------------===//
+
+obs::PhaseTimer::PhaseTimer(PhaseTimes *Out, const char *Name,
+                            const char *Category)
+    : Out(Out), Name(Name), S(Name, Category), StartUs(nowMicros()) {
+  if (rec::on()) {
+    NameId = internName(Name);
+    emit(RecKind::PhaseBegin, NameId);
+  }
+}
+
+obs::PhaseTimer::~PhaseTimer() {
+  int64_t Micros = nowMicros() - StartUs;
+  if (NameId)
+    emit(RecKind::PhaseEnd, NameId);
+  if (Out)
+    Out->emplace_back(Name, Micros);
+  if (metricsEnabled()) {
+    MetricsRegistry &Reg = globalMetrics();
+    Reg.counter(std::string("phase.") + Name + ".micros")
+        .add(static_cast<uint64_t>(Micros));
+    Reg.counter(std::string("phase.") + Name + ".runs").add(1);
+  }
 }

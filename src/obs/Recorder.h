@@ -138,38 +138,40 @@ std::string lastDumpTrigger();
 /// long-lived process that runs many pipelines holds one entry per key.
 void finalCounter(std::string_view Key, uint64_t Value);
 
+} // namespace eal::obs::rec
+
+namespace eal::obs {
+
 //===----------------------------------------------------------------------===//
-// PhaseScope
+// PhaseTimer
 //===----------------------------------------------------------------------===//
 
-/// Drop-in replacement for obs::PhaseTimer at pipeline stages: same
-/// wall-time + trace-span + metrics behavior, plus PhaseBegin/PhaseEnd
-/// recorder events so timelines get phase bands even when tracing is
-/// off.
-class PhaseScope {
+/// RAII timer for one pipeline or optimizer phase: always measures wall
+/// time (independent of tracing) and appends {Name, micros} to \p Out at
+/// destruction. Additionally it emits a Span event when tracing is
+/// enabled, per-phase counters into the global metrics registry when
+/// metrics are enabled (see Metrics.h), and PhaseBegin/PhaseEnd recorder
+/// events, so timelines get phase bands even when tracing is off.
+class PhaseTimer {
 public:
-  PhaseScope(obs::PhaseTimer::PhaseTimes *Out, const char *Name,
-             const char *Category = "pipeline")
-      : Timer(Out, Name, Category) {
-    if (on()) {
-      NameId = internName(Name);
-      emit(RecKind::PhaseBegin, NameId);
-    }
-  }
-  ~PhaseScope() {
-    if (NameId)
-      emit(RecKind::PhaseEnd, NameId);
-  }
-  PhaseScope(const PhaseScope &) = delete;
-  PhaseScope &operator=(const PhaseScope &) = delete;
+  using PhaseTimes = std::vector<std::pair<std::string, int64_t>>;
 
-  obs::Span &span() { return Timer.span(); }
+  PhaseTimer(PhaseTimes *Out, const char *Name,
+             const char *Category = "pipeline");
+  ~PhaseTimer();
+  PhaseTimer(const PhaseTimer &) = delete;
+  PhaseTimer &operator=(const PhaseTimer &) = delete;
+
+  Span &span() { return S; }
 
 private:
-  obs::PhaseTimer Timer;
-  uint16_t NameId = 0;
+  PhaseTimes *Out;
+  const char *Name;
+  Span S;
+  int64_t StartUs;
+  uint16_t NameId = 0; ///< interned phase name; 0 while the recorder is off
 };
 
-} // namespace eal::obs::rec
+} // namespace eal::obs
 
 #endif // EAL_OBS_RECORDER_H

@@ -14,26 +14,6 @@
 
 using namespace eal;
 
-namespace {
-
-/// Matches `cons e1 e2`; fills operands.
-bool isConsApp(const Expr *E, const Expr *&Head, const Expr *&Tail) {
-  const auto *Outer = dyn_cast<AppExpr>(E);
-  if (!Outer)
-    return false;
-  const auto *Inner = dyn_cast<AppExpr>(Outer->fn());
-  if (!Inner)
-    return false;
-  const auto *Prim = dyn_cast<PrimExpr>(Inner->fn());
-  if (!Prim || Prim->op() != PrimOp::Cons)
-    return false;
-  Head = Inner->arg();
-  Tail = Outer->arg();
-  return true;
-}
-
-} // namespace
-
 void AllocPlanner::attribute(const Expr *E, unsigned Level, unsigned MaxLevel,
                              ArenaSiteClass Class, ArgArenaDirective &Out) {
   if (Level > MaxLevel)
@@ -60,7 +40,7 @@ void AllocPlanner::attribute(const Expr *E, unsigned Level, unsigned MaxLevel,
     return;
   case ExprKind::App: {
     const Expr *Head = nullptr, *Tail = nullptr;
-    if (isConsApp(E, Head, Tail)) {
+    if (matchConsApp(E, Head, Tail) == PrimOp::Cons) {
       Out.Sites.emplace(E->id(), Class);
       attribute(Head, Level + 1, MaxLevel, Class, Out);
       attribute(Tail, Level, MaxLevel, Class, Out);

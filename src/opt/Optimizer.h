@@ -26,9 +26,9 @@
 #ifndef EAL_OPT_OPTIMIZER_H
 #define EAL_OPT_OPTIMIZER_H
 
+#include "obs/Recorder.h"
 #include "opt/AllocPlanner.h"
 #include "opt/ReuseTransform.h"
-#include "support/Trace.h"
 
 #include <memory>
 #include <optional>

@@ -20,23 +20,6 @@ using namespace eal;
 
 namespace {
 
-/// True if \p E is a saturated cons application `cons e1 e2`; fills the
-/// operands.
-bool isConsApp(const Expr *E, const Expr *&Head, const Expr *&Tail) {
-  const auto *Outer = dyn_cast<AppExpr>(E);
-  if (!Outer)
-    return false;
-  const auto *Inner = dyn_cast<AppExpr>(Outer->fn());
-  if (!Inner)
-    return false;
-  const auto *Prim = dyn_cast<PrimExpr>(Inner->fn());
-  if (!Prim || Prim->op() != PrimOp::Cons)
-    return false;
-  Head = Inner->arg();
-  Tail = Outer->arg();
-  return true;
-}
-
 /// True if \p E is exactly `null x` for the variable \p X.
 bool isNullTestOf(const Expr *E, Symbol X) {
   const auto *App = dyn_cast<AppExpr>(E);
@@ -207,7 +190,7 @@ void ReuseTransform::Impl::collectNonNilConses(const Expr *E, Symbol X,
     return;
   case ExprKind::App: {
     const Expr *Head = nullptr, *Tail = nullptr;
-    if (NonNil && isConsApp(E, Head, Tail))
+    if (NonNil && matchConsApp(E, Head, Tail) == PrimOp::Cons)
       Out.push_back(E);
     const auto *App = cast<AppExpr>(E);
     collectNonNilConses(App->fn(), X, NonNil, Out);
@@ -424,7 +407,7 @@ protected:
   const Expr *rewrite(const Expr *E) override {
     if (DconsSites.count(E)) {
       const Expr *Head = nullptr, *Tail = nullptr;
-      bool IsCons = isConsApp(E, Head, Tail);
+      bool IsCons = matchConsApp(E, Head, Tail) == PrimOp::Cons;
       assert(IsCons && "dcons site is not a cons");
       (void)IsCons;
       const Expr *Prim = Ctx.createPrim(E->range(), PrimOp::DCons);

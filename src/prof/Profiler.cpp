@@ -48,18 +48,6 @@ void StackTree::pop() {
     Cur = Nodes[Cur].Parent;
 }
 
-void StackTree::attribute(uint64_t Now) {
-  if (Now > Last) {
-    Nodes[Cur].Self += Now - Last;
-    Last = Now;
-  }
-}
-
-void StackTree::finish(uint64_t Now) {
-  attribute(Now);
-  Cur = 0;
-}
-
 size_t StackTree::depth() const {
   size_t D = 0;
   for (uint32_t N = Cur; N != 0; N = Nodes[N].Parent)

@@ -24,15 +24,18 @@
 ///    either engine, weighted by interpreter steps / VM instructions,
 ///    exportable as collapsed stacks (the `folded` flamegraph format);
 ///    for the VM additionally exact per-opcode and per-proto dispatch
-///    counters. The tree-walker feeds the tree through the channel's
-///    activation events; the VM calls the frame and dispatch hooks
-///    directly (Vm::Options::Profiler).
+///    counters. Both engines take the profiler as
+///    EngineOptions::Profiler and finish it when their run ends. The
+///    tree-walker sets the step clock and feeds the tree through the
+///    channel's activation events; the VM calls the frame and dispatch
+///    hooks directly.
 ///
 /// Dependency direction: the profiler depends on the runtime's observer
-/// interface, and the runtime knows nothing of the profiler. Keys are
-/// plain uint32 ids (AST node ids in the tree-walker, proto indices in
-/// the VM) that callers resolve to names at export time; the report
-/// builder (ProfileReport.h) links against the world.
+/// interface. The tree-walker (in the runtime library) calls only the
+/// header-only setStepClock and finish. Keys are plain uint32 ids (AST
+/// node ids in the tree-walker, proto indices in the VM) that callers
+/// resolve to names at export time; the report builder
+/// (ProfileReport.h) links against the world.
 ///
 /// One caveat worth stating once: a DCONS overwrite re-tags the cell
 /// with the dcons site but does *not* restamp ConsCell::AllocSeq (the
@@ -114,10 +117,18 @@ public:
   void replace(uint32_t Key);
   void pop();
   /// Charges Now - (last attributed clock) to the current node.
-  void attribute(uint64_t Now);
+  void attribute(uint64_t Now) {
+    if (Now > Last) {
+      Nodes[Cur].Self += Now - Last;
+      Last = Now;
+    }
+  }
   /// attribute(Now), then unwind the cursor to the root (end of run or
   /// abandoned frames after a runtime error).
-  void finish(uint64_t Now);
+  void finish(uint64_t Now) {
+    attribute(Now);
+    Cur = 0;
+  }
 
   size_t depth() const;
   size_t nodeCount() const { return Nodes.size(); }
@@ -150,8 +161,7 @@ private:
 
 /// One engine run's profile; one Profiler instance profiles one run of
 /// one engine. Attach it as the engine's observer (with other consumers
-/// through an ObserverFanOut); a VM run additionally passes it as
-/// Vm::Options::Profiler, a tree-walker run calls setStepClock.
+/// through an ObserverFanOut) and as EngineOptions::Profiler.
 class Profiler final : public ExecutionObserver {
 public:
   //===--- Allocation sites: the per-cell event channel -------------------==//

@@ -16,12 +16,15 @@
 /// ObserverFanOut composes several on one run. Each emit site tests the
 /// observer pointer once.
 ///
-/// The tree-walker additionally reports user-closure activations, with
-/// strict bracketing: every activationEntered is matched by exactly one
-/// activationExited (with a null result when the body's evaluation
-/// failed), in LIFO order. Both hooks fire while the activation's frame
-/// is still a GC root, so values passed to the observer cannot be swept
-/// during the callback. The VM reports no activations.
+/// Both engines attach the observer the same way, as
+/// EngineOptions::Observer of the runtime core (EngineCore.h), which
+/// hands it to the heap. The tree-walker additionally reports
+/// user-closure activations, with strict bracketing: every
+/// activationEntered is matched by exactly one activationExited (with a
+/// null result when the body's evaluation failed), in LIFO order. Both
+/// hooks fire while the activation's frame is still a GC root, so
+/// values passed to the observer cannot be swept during the callback.
+/// The VM reports no activations.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -225,7 +225,7 @@ void Heap::freeArena(size_t Handle) {
         Reg.histogram("heap.arena.region_cells_per_free")
             .record(A.RegionCells);
     }
-    if (obs::streamEnabled()) {
+    if (obs::tracingEnabled()) {
       if (A.StackCells)
         obs::instant("stack.arena_free", "arena",
                      {{"cells", std::to_string(A.StackCells)}});
@@ -366,7 +366,7 @@ void Heap::collect() {
           .record(static_cast<uint64_t>(PauseUs));
       Reg.histogram("heap.gc.swept_cells_per_run").record(Swept);
     }
-    if (obs::streamEnabled()) {
+    if (obs::tracingEnabled()) {
       // Aggregate-initialized in place: GCC 12's -Wmaybe-uninitialized
       // misfires on member-by-member assignment at -O2.
       obs::TraceEvent E{"gc.collect",

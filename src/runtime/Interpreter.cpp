@@ -7,12 +7,12 @@
 
 #include "runtime/Interpreter.h"
 
+#include "prof/Profiler.h"
 #include "runtime/ExecutionObserver.h"
 #include "runtime/SpecHooks.h"
 #include "runtime/ValuePrinter.h"
 
 #include "lang/AstUtils.h"
-#include "support/Diagnostics.h"
 
 #include <cassert>
 #include <pthread.h>
@@ -56,85 +56,18 @@ Interpreter::Interpreter(const AstContext &Ast, const TypedProgram &Program,
 Interpreter::Interpreter(const AstContext &Ast, const TypedProgram &Program,
                          const AllocationPlan *Plan, DiagnosticEngine &Diags,
                          Options Opts)
-    : Ast(Ast), Program(Program), Plan(Plan), Diags(Diags), Opts(Opts),
-      TheHeap(Stats, Heap::Options{Opts.HeapCapacity, Opts.AllowHeapGrowth,
-                                   0.2}) {
-  TheHeap.setRootScanner([this](Marker &M) {
-    ++MarkEpoch;
-    for (RtValue V : ShadowStack)
-      M.value(V);
-    for (EnvFrame *Frame : ActiveFrames) {
-      for (EnvFrame *F = Frame; F && F->MarkEpoch != MarkEpoch;
-           F = F->Parent.get()) {
-        F->MarkEpoch = MarkEpoch;
-        for (auto &Slot : F->Slots)
-          M.value(Slot.second);
-      }
-    }
-  });
-  TheHeap.setClosureTracer([this](const RtClosure *C, Marker &M) {
-    for (RtValue V : C->Partial)
-      M.value(V);
-    for (EnvFrame *F = C->Env.get(); F && F->MarkEpoch != MarkEpoch;
-         F = F->Parent.get()) {
-      F->MarkEpoch = MarkEpoch;
-      for (auto &Slot : F->Slots)
-        M.value(Slot.second);
-    }
-  });
-  TheHeap.setObserver(Opts.Observer);
-  Hooks.AllocateCell = [this](uint32_t Site) { return allocateConsCell(Site); };
-  Hooks.Error = [this](const std::string &Message) {
-    error(SourceLoc::invalid(), Message);
-  };
-  Hooks.Cells = &TheHeap;
-}
-
-Interpreter::~Interpreter() {
-  // Letrec frames participate in reference cycles with their closures;
-  // break them explicitly so the shared_ptr graph tears down.
-  for (const EnvPtr &Frame : LetrecFrames)
-    Frame->Slots.clear();
-  for (const std::unique_ptr<RtClosure> &C : Closures)
-    C->Env.reset();
-}
-
-bool Interpreter::error(SourceLoc Loc, std::string Message) {
-  if (!Failed)
-    Diags.error(Loc, std::move(Message));
-  Failed = true;
-  return false;
-}
+    : Ast(Ast), Program(Program), Plan(Plan),
+      Core(Opts, Diags, "", [this](Marker &M) {
+        for (RtValue V : ShadowStack)
+          M.value(V);
+        for (EnvFrame *Frame : ActiveFrames)
+          Core.markEnv(Frame, M);
+      }) {}
 
 bool Interpreter::fuel(const Expr *E) {
-  if (++Stats.Steps <= Opts.MaxSteps)
+  if (++Core.Stats.Steps <= Core.Opts.MaxSteps)
     return true;
-  return error(E->loc(), "evaluation exceeded the step budget");
-}
-
-RtClosure *Interpreter::newClosure() {
-  Closures.push_back(std::make_unique<RtClosure>());
-  ++Stats.ClosuresCreated;
-  return Closures.back().get();
-}
-
-//===----------------------------------------------------------------------===//
-// Allocation
-//===----------------------------------------------------------------------===//
-
-ConsCell *Interpreter::allocateConsCell(uint32_t SiteId) {
-  // Innermost active arena claiming this site wins (tightest lifetime).
-  for (auto It = ArenaStack.rbegin(); It != ArenaStack.rend(); ++It) {
-    auto SiteIt = It->Directive->Sites.find(SiteId);
-    if (SiteIt == It->Directive->Sites.end())
-      continue;
-    CellClass Class = SiteIt->second == ArenaSiteClass::Stack
-                          ? CellClass::Stack
-                          : CellClass::Region;
-    return TheHeap.allocateInArena(It->Handle, Class, SiteId,
-                                   It->Directive->SpecIndex >= 0);
-  }
-  return TheHeap.allocateHeap(SiteId);
+  return Core.error("evaluation exceeded the step budget", E->loc());
 }
 
 //===----------------------------------------------------------------------===//
@@ -150,7 +83,7 @@ Interpreter::applyPrim(RtClosure &Prim, const std::vector<RtValue> &Args,
   assert(Have < Arity && "over-applied primitive closure");
   if (Have + Avail < Arity) {
     // Still partial: new primitive closure accumulating the arguments.
-    RtClosure *C = newClosure();
+    RtClosure *C = Core.newClosure();
     C->IsPrim = true;
     C->Op = Prim.Op;
     C->PrimNodeId = Prim.PrimNodeId;
@@ -166,7 +99,7 @@ Interpreter::applyPrim(RtClosure &Prim, const std::vector<RtValue> &Args,
   // Cells allocated through a primitive *value* have no static call site;
   // they go to the heap (SiteId of the prim occurrence never appears in
   // any directive).
-  return evalSaturatedPrim(Prim.Op, Prim.PrimNodeId, Full, Hooks);
+  return evalSaturatedPrim(Prim.Op, Prim.PrimNodeId, Full, Core.Hooks);
 }
 
 std::optional<RtValue>
@@ -186,28 +119,6 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
     for (size_t I = 0; I != UpTo; ++I)
       ShadowStack[Base + 1 + I] = RtValue::makeNil();
   };
-  bool ArenasFreed = Arenas.empty();
-  auto FreeArenas = [&](RtValue *Result) {
-    if (ArenasFreed)
-      return true;
-    ArenasFreed = true;
-    ShadowGuard ResultRoot(ShadowStack);
-    if (Result)
-      ResultRoot.push(*Result);
-    for (size_t Handle : Arenas) {
-      // The spec runtime sees every close first: this is where injected
-      // guard failures fire, migrating the speculative cells out before
-      // the (then-empty) arena is spliced away.
-      if (Opts.Spec) [[unlikely]]
-        Opts.Spec->arenaClosing(static_cast<uint32_t>(Handle));
-      if (Opts.ValidateArenaFrees && TheHeap.arenaIsReachable(Handle))
-        return error(SourceLoc::invalid(),
-                     "allocation plan error: arena cell still reachable "
-                     "when its activation returned");
-      TheHeap.freeArena(Handle);
-    }
-    return true;
-  };
 
   RtValue Current = Callee;
   size_t Idx = 0;
@@ -216,18 +127,18 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
   bool DirectCallee = true;
   while (Idx < Args.size()) {
     if (!Current.isClosure()) {
-      FreeArenas(nullptr);
-      error(SourceLoc::invalid(), "applied a non-function value");
+      Core.closeArenas(Arenas, nullptr);
+      Core.error("applied a non-function value");
       return std::nullopt;
     }
     RtClosure *C = Current.closure();
-    ++Stats.Applications;
+    ++Core.Stats.Applications;
 
     if (C->IsPrim) {
       size_t Consumed = 0;
       std::optional<RtValue> R = applyPrim(*C, Args, Idx, Consumed);
       if (!R) {
-        FreeArenas(nullptr);
+        Core.closeArenas(Arenas, nullptr);
         return std::nullopt;
       }
       Idx += Consumed;
@@ -251,7 +162,7 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
     }
     if (isa<LambdaExpr>(Body)) {
       // Arguments exhausted mid-chain: the result is a closure.
-      RtClosure *Partial = newClosure();
+      RtClosure *Partial = Core.newClosure();
       Partial->Lambda = cast<LambdaExpr>(Body);
       Partial->Env = Frame;
       Current = RtValue::makeClosure(Partial);
@@ -262,11 +173,11 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
     }
 
     // Evaluate the body; arenas (if any) belong to this first activation
-    // and die when it returns. Consumed arguments live on only through
-    // the frame.
+    // and die when it returns (closing empties Arenas, so later closes
+    // are no-ops). Consumed arguments live on only through the frame.
     ClearConsumed(Idx);
     ShadowStack[Base] = RtValue::makeNil(); // callee consumed too
-    ExecutionObserver *Obs = Opts.Observer;
+    ExecutionObserver *Obs = Core.Opts.Observer;
     std::optional<RtValue> R;
     {
       FrameGuard Active(ActiveFrames, Frame.get());
@@ -275,24 +186,29 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
                                std::span<const RtValue>(Args).subspan(
                                    FirstArg, Idx - FirstArg));
       R = eval(Body, Frame);
-      // The exit hook runs before FreeArenas so arena cells are still
+      // The exit hook runs before closeArenas so arena cells are still
       // inspectable, and inside the FrameGuard so the frame roots them.
       if (Obs && !Obs->activationExited(R ? &*R : nullptr) && R) {
-        error(Call ? Call->loc() : SourceLoc::invalid(), Obs->abortReason());
+        Core.error(Obs->abortReason(),
+                   Call ? Call->loc() : SourceLoc::invalid());
         R = std::nullopt;
       }
     }
     if (!R) {
-      FreeArenas(nullptr);
+      Core.closeArenas(Arenas, nullptr);
       return std::nullopt;
     }
-    if (!FreeArenas(&*R))
+    if (!Core.closeArenas(Arenas, &*R))
       return std::nullopt;
     Current = *R;
     ShadowStack[Base] = Current;
     DirectCallee = false;
   }
-  if (!FreeArenas(&Current))
+  // A partial result ends the loop; the planner places directives on
+  // saturated calls only, so no arena waits for an activation then.
+  assert((Arenas.empty() || !Current.isClosure()) &&
+         "arena directive on a call whose callee is partial");
+  if (!Core.closeArenas(Arenas, &Current))
     return std::nullopt;
   return Current;
 }
@@ -318,7 +234,7 @@ std::optional<RtValue> Interpreter::evalCallSpine(const AppExpr *Call,
         Args.push_back(*V);
       }
       // The cons site id is the outermost App node of the spine.
-      return evalSaturatedPrim(Prim->op(), Call->id(), Args, Hooks);
+      return evalSaturatedPrim(Prim->op(), Call->id(), Args, Core.Hooks);
     }
   }
 
@@ -346,30 +262,13 @@ std::optional<RtValue> Interpreter::evalCallSpine(const AppExpr *Call,
           D = Cand;
           break;
         }
-    // A speculative directive is honored only while its guard holds;
-    // once disarmed (deopt) the argument evaluates plain, exactly as
-    // under the conservative plan.
-    if (D && D->SpecIndex >= 0 &&
-        (!Opts.Spec || !Opts.Spec->directiveArmed(D->SpecIndex)))
-      D = nullptr;
-    std::optional<RtValue> V;
-    if (D) {
-      size_t Handle = TheHeap.createArena();
-      if (D->SpecIndex >= 0) [[unlikely]]
-        Opts.Spec->arenaOpened(D->SpecIndex, static_cast<uint32_t>(Handle));
-      ArenaStack.push_back(ActiveArena{D, Handle});
-      V = eval(ArgExprs[I], Env);
-      ArenaStack.pop_back();
-      Arenas.push_back(Handle);
-    } else {
-      V = eval(ArgExprs[I], Env);
-    }
+    if (D)
+      Core.enterArena(D);
+    std::optional<RtValue> V = eval(ArgExprs[I], Env);
+    if (D)
+      Arenas.push_back(Core.leaveArena());
     if (!V) {
-      for (size_t Handle : Arenas) {
-        if (Opts.Spec) [[unlikely]]
-          Opts.Spec->arenaClosing(static_cast<uint32_t>(Handle));
-        TheHeap.freeArena(Handle);
-      }
+      Core.discardArenas(Arenas);
       return std::nullopt;
     }
     Rooted.push(*V);
@@ -402,13 +301,14 @@ std::optional<RtValue> Interpreter::eval(const Expr *E, const EnvPtr &Env) {
     for (EnvFrame *F = Env.get(); F; F = F->Parent.get())
       if (RtValue *Slot = F->find(Name))
         return *Slot;
-    error(E->loc(), "unbound identifier '" +
-                        std::string(Ast.spelling(Name)) + "' at run time");
+    Core.error("unbound identifier '" + std::string(Ast.spelling(Name)) +
+                   "' at run time",
+               E->loc());
     return std::nullopt;
   }
   case ExprKind::Prim: {
     const auto *Prim = cast<PrimExpr>(E);
-    RtClosure *C = newClosure();
+    RtClosure *C = Core.newClosure();
     C->IsPrim = true;
     C->Op = Prim->op();
     C->PrimNodeId = E->id();
@@ -417,7 +317,7 @@ std::optional<RtValue> Interpreter::eval(const Expr *E, const EnvPtr &Env) {
   case ExprKind::App:
     return evalCallSpine(cast<AppExpr>(E), Env);
   case ExprKind::Lambda: {
-    RtClosure *C = newClosure();
+    RtClosure *C = Core.newClosure();
     C->Lambda = cast<LambdaExpr>(E);
     C->Env = Env;
     return RtValue::makeClosure(C);
@@ -428,14 +328,14 @@ std::optional<RtValue> Interpreter::eval(const Expr *E, const EnvPtr &Env) {
     if (!Cond)
       return std::nullopt;
     if (!Cond->isBool()) {
-      error(If->cond()->loc(), "if condition is not a boolean");
+      Core.error("if condition is not a boolean", If->cond()->loc());
       return std::nullopt;
     }
     const Expr *Chosen = Cond->boolValue() ? If->thenExpr() : If->elseExpr();
     // Branch-entry report: the spec tier's profile counter during the
     // pre-run, its deopt guard during the speculative run.
-    if (Opts.Spec) [[unlikely]]
-      Opts.Spec->branchEntered(Chosen->id());
+    if (Core.Opts.Spec) [[unlikely]]
+      Core.Opts.Spec->branchEntered(Chosen->id());
     return eval(Chosen, Env);
   }
   case ExprKind::Let: {
@@ -453,7 +353,7 @@ std::optional<RtValue> Interpreter::eval(const Expr *E, const EnvPtr &Env) {
     const auto *Letrec = cast<LetrecExpr>(E);
     EnvPtr Frame = std::make_shared<EnvFrame>();
     Frame->Parent = Env;
-    LetrecFrames.push_back(Frame);
+    Core.keepRecFrame(Frame);
     for (const LetrecBinding &B : Letrec->bindings())
       Frame->Slots.emplace_back(B.Name, RtValue::makeNil());
     FrameGuard Active(ActiveFrames, Frame.get());
@@ -476,11 +376,17 @@ std::optional<RtValue> Interpreter::eval(const Expr *E, const EnvPtr &Env) {
 //===----------------------------------------------------------------------===//
 
 std::optional<RtValue> Interpreter::run() {
-  Failed = false;
+  Core.Failed = false;
   EnvPtr Root = std::make_shared<EnvFrame>();
   FrameGuard Active(ActiveFrames, Root.get());
+  // The profile's weight unit is RuntimeStats::Steps (prof/Profiler.h).
+  prof::Profiler *Prof = Core.Opts.Profiler;
+  if (Prof)
+    Prof->setStepClock(&Core.Stats.Steps);
   std::optional<RtValue> Result = eval(Program.root(), Root);
-  if (Failed)
+  if (Prof)
+    Prof->finish();
+  if (Core.Failed)
     return std::nullopt;
   return Result;
 }
@@ -488,10 +394,10 @@ std::optional<RtValue> Interpreter::run() {
 std::optional<RtValue>
 Interpreter::callBinding(Symbol Fn, std::span<const Expr *const> Args,
                          std::vector<RtValue> *ArgValues) {
-  Failed = false;
+  Core.Failed = false;
   const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
   if (!Letrec) {
-    error(SourceLoc::invalid(), "callBinding requires a letrec program");
+    Core.error("callBinding requires a letrec program");
     return std::nullopt;
   }
   EnvPtr Root = std::make_shared<EnvFrame>();
@@ -500,7 +406,7 @@ Interpreter::callBinding(Symbol Fn, std::span<const Expr *const> Args,
   // Build the letrec frame (mirrors the Letrec case of eval()).
   EnvPtr Frame = std::make_shared<EnvFrame>();
   Frame->Parent = Root;
-  LetrecFrames.push_back(Frame);
+  Core.keepRecFrame(Frame);
   for (const LetrecBinding &B : Letrec->bindings())
     Frame->Slots.emplace_back(B.Name, RtValue::makeNil());
   FrameGuard Active(ActiveFrames, Frame.get());
@@ -514,7 +420,7 @@ Interpreter::callBinding(Symbol Fn, std::span<const Expr *const> Args,
 
   RtValue *FnSlot = Frame->find(Fn);
   if (!FnSlot) {
-    error(SourceLoc::invalid(), "callBinding: no such binding");
+    Core.error("callBinding: no such binding");
     return std::nullopt;
   }
 
@@ -531,7 +437,7 @@ Interpreter::callBinding(Symbol Fn, std::span<const Expr *const> Args,
     *ArgValues = Values;
   std::optional<RtValue> Result =
       applyValues(*FnSlot, Values, std::vector<size_t>(), nullptr);
-  if (Failed)
+  if (Core.Failed)
     return std::nullopt;
   return Result;
 }

@@ -11,7 +11,9 @@
 /// semantics abstracts (§3.3). It executes the optimizations:
 ///
 ///  * cons sites covered by an ArgArenaDirective allocate into an arena
-///    owned by the callee's activation and reclaimed when it returns;
+///    owned by the callee's activation and reclaimed when it returns,
+///    by the rules of the runtime core it shares with the VM
+///    (EngineCore.h);
 ///  * DCONS overwrites the head cell of its first operand in place.
 ///
 /// The interpreter reports runtime errors (car of nil, division by zero,
@@ -23,47 +25,19 @@
 #define EAL_RUNTIME_INTERPRETER_H
 
 #include "lang/Ast.h"
-#include "opt/AllocPlanner.h"
-#include "runtime/Frame.h"
-#include "runtime/Heap.h"
-#include "runtime/PrimOps.h"
-#include "runtime/RtValue.h"
-#include "runtime/RuntimeStats.h"
+#include "runtime/EngineCore.h"
 #include "types/TypeInference.h"
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace eal {
 
-class DiagnosticEngine;
-class SpecHooks;
-
 /// Evaluates one typed program.
 class Interpreter {
 public:
-  struct Options {
-    /// Initial heap capacity in cells.
-    size_t HeapCapacity = 1 << 14;
-    bool AllowHeapGrowth = true;
-    /// Evaluation-step budget (guards against runaway programs).
-    uint64_t MaxSteps = 1'000'000'000;
-    /// Verify at every arena free that no arena cell is still reachable
-    /// (catches unsafe allocation plans; expensive).
-    bool ValidateArenaFrees = false;
-    /// Cell and activation events (runtime/ExecutionObserver.h), not
-    /// owned. Null disables them.
-    ExecutionObserver *Observer = nullptr;
-    /// Speculative-tier hooks (runtime/SpecHooks.h), not owned. While
-    /// set, every entered if-branch is reported, speculative directives
-    /// (SpecIndex >= 0) are honored only while directiveArmed says so,
-    /// and every arena open/close is announced so the spec runtime can
-    /// track speculative arenas and run the deopt protocol. Null
-    /// disables the tier entirely.
-    SpecHooks *Spec = nullptr;
-  };
+  using Options = EngineOptions;
 
   /// \p Plan may be null (everything heap-allocated, no reuse semantics
   /// change — DCONS still executes destructively if present in the AST).
@@ -72,7 +46,6 @@ public:
   Interpreter(const AstContext &Ast, const TypedProgram &Program,
               const AllocationPlan *Plan, DiagnosticEngine &Diags,
               Options Opts);
-  ~Interpreter();
 
   /// Evaluates the program root. Returns nullopt after a diagnostic on
   /// runtime errors.
@@ -91,9 +64,9 @@ public:
                                      std::span<const Expr *const> Args,
                                      std::vector<RtValue> *ArgValues);
 
-  const RuntimeStats &stats() const { return Stats; }
-  RuntimeStats &stats() { return Stats; }
-  Heap &heap() { return TheHeap; }
+  const RuntimeStats &stats() const { return Core.Stats; }
+  RuntimeStats &stats() { return Core.Stats; }
+  Heap &heap() { return Core.TheHeap; }
 
   /// Renders a value: "42", "true", "[1, 2, 3]", "<fun>". Cyclic or very
   /// long structures are truncated with "...".
@@ -115,42 +88,16 @@ private:
   std::optional<RtValue> applyPrim(RtClosure &Prim,
                                    const std::vector<RtValue> &Args,
                                    size_t First, size_t &Consumed);
-  /// Allocates the cell for cons site \p SiteId (consulting the active
-  /// arena stack) or a plain heap cell when SiteId has no directive.
-  ConsCell *allocateConsCell(uint32_t SiteId);
-
-  RtClosure *newClosure();
-  bool error(SourceLoc Loc, std::string Message);
   bool fuel(const Expr *E);
 
   const AstContext &Ast;
   const TypedProgram &Program;
   const AllocationPlan *Plan;
-  DiagnosticEngine &Diags;
-  Options Opts;
-  RuntimeStats Stats;
-  Heap TheHeap;
-  /// Primitive-evaluation hooks, built once (not per primitive call).
-  PrimOpsHooks Hooks;
+  EngineCore Core;
 
   /// GC roots: in-flight values and active environments.
   std::vector<RtValue> ShadowStack;
   std::vector<EnvFrame *> ActiveFrames;
-
-  /// Arenas active for the argument currently being evaluated.
-  struct ActiveArena {
-    const ArgArenaDirective *Directive;
-    size_t Handle;
-  };
-  std::vector<ActiveArena> ArenaStack;
-
-  /// All closures (owned; small count, never individually freed).
-  std::vector<std::unique_ptr<RtClosure>> Closures;
-  /// Letrec frames kept alive to the end (closure cycles).
-  std::vector<EnvPtr> LetrecFrames;
-
-  uint64_t MarkEpoch = 0;
-  bool Failed = false;
 };
 
 } // namespace eal

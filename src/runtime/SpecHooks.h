@@ -46,8 +46,10 @@ public:
   virtual void guardReached(uint32_t GuardIndex) { (void)GuardIndex; }
 
   /// Whether the speculative directive with the given SpecIndex is
-  /// still armed (its guard has not failed). Disarmed directives
-  /// allocate on the GC heap like the conservative plan would.
+  /// still armed (its guard has not failed). Asked by the runtime core
+  /// (EngineCore::enterArena) on either engine: a disarmed directive
+  /// opens no arena, so its cells go on the GC heap like the
+  /// conservative plan's.
   virtual bool directiveArmed(int32_t SpecIndex) {
     (void)SpecIndex;
     return false;
@@ -60,8 +62,8 @@ public:
     (void)Handle;
   }
 
-  /// Called by the engines immediately before *any* arena free in a
-  /// speculation-enabled run. Handles the runtime never saw in
+  /// Called by the runtime core immediately before *any* arena free in
+  /// a speculation-enabled run. Handles the runtime never saw in
   /// arenaOpened are not speculative and must be ignored. This is where
   /// deterministic guard-failure injection (--spec-inject-deopt) fires.
   virtual void arenaClosing(uint32_t Handle) { (void)Handle; }

@@ -57,8 +57,8 @@ bool SpecRuntime::injectionCovers(int32_t SpecIndex) const {
 }
 
 void SpecRuntime::arenaClosing(uint32_t Handle) {
-  // Handles the runtime never registered (conservative arenas, arenas
-  // opened for disarmed directives) are not ours.
+  // Handles the runtime never registered (conservative arenas) are not
+  // ours; disarmed directives open no arena at all.
   auto It = LiveArenas.find(Handle);
   if (It == LiveArenas.end())
     return;

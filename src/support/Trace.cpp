@@ -49,7 +49,6 @@ thread_local unsigned SpanDepth = 0;
 struct TraceState {
   std::mutex M;
   std::vector<TraceEvent> Events;
-  std::vector<EventSink *> Sinks;
   /// Spans alive right now (flushOpenSpans walks these). A span present
   /// here still owns its event; one flushed out of the list must not
   /// record again at destruction.
@@ -65,7 +64,6 @@ TraceState &state() {
 
 std::atomic<bool> obs::detail::Enabled{false};
 std::atomic<bool> obs::detail::RecorderOn{false};
-std::atomic<bool> obs::detail::StreamOn{false};
 
 namespace {
 
@@ -73,11 +71,9 @@ namespace {
 /// relaxed: the lock orders the writers, and readers only need the
 /// eventual flag value, not any payload published with it.
 void refreshEnabled() {
-  bool Stream = obs::detail::RecorderOn.load(std::memory_order_relaxed) ||
-                !state().Sinks.empty();
-  obs::detail::StreamOn.store(Stream, std::memory_order_relaxed);
   obs::detail::Enabled.store(
-      Stream || obs::detail::MetricsOn.load(std::memory_order_relaxed),
+      obs::detail::RecorderOn.load(std::memory_order_relaxed) ||
+          obs::detail::MetricsOn.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
 }
 
@@ -97,19 +93,6 @@ void obs::enableTracing() {
 void obs::disableTracing() {
   std::lock_guard<std::mutex> Lock(state().M);
   detail::RecorderOn = false;
-  refreshEnabled();
-}
-
-void obs::addSink(EventSink *S) {
-  std::lock_guard<std::mutex> Lock(state().M);
-  state().Sinks.push_back(S);
-  refreshEnabled();
-}
-
-void obs::removeSink(EventSink *S) {
-  std::lock_guard<std::mutex> Lock(state().M);
-  auto &Sinks = state().Sinks;
-  Sinks.erase(std::remove(Sinks.begin(), Sinks.end(), S), Sinks.end());
   refreshEnabled();
 }
 
@@ -138,8 +121,6 @@ namespace {
 void recordLocked(TraceEvent E) {
   if (E.TimestampUs < 0)
     E.TimestampUs = nowMicros();
-  for (EventSink *S : state().Sinks)
-    S->onEvent(E);
   if (obs::detail::RecorderOn)
     state().Events.push_back(std::move(E));
 }
@@ -274,7 +255,7 @@ bool obs::writeChromeTrace(const std::string &Path) {
 //===----------------------------------------------------------------------===//
 
 obs::Span::Span(const char *Name, const char *Category) {
-  if (!streamEnabled())
+  if (!tracingEnabled())
     return;
   Active = true;
   StartUs = nowMicros();
@@ -352,23 +333,3 @@ size_t obs::flushOpenSpans() {
 }
 
 unsigned obs::Span::currentDepth() { return SpanDepth; }
-
-//===----------------------------------------------------------------------===//
-// PhaseTimer
-//===----------------------------------------------------------------------===//
-
-obs::PhaseTimer::PhaseTimer(PhaseTimes *Out, const char *Name,
-                            const char *Category)
-    : Out(Out), Name(Name), S(Name, Category), StartUs(nowMicros()) {}
-
-obs::PhaseTimer::~PhaseTimer() {
-  int64_t Micros = nowMicros() - StartUs;
-  if (Out)
-    Out->emplace_back(Name, Micros);
-  if (metricsEnabled()) {
-    MetricsRegistry &Reg = globalMetrics();
-    Reg.counter(std::string("phase.") + Name + ".micros")
-        .add(static_cast<uint64_t>(Micros));
-    Reg.counter(std::string("phase.") + Name + ".runs").add(1);
-  }
-}

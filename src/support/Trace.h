@@ -13,14 +13,12 @@
 ///    `trace_event`-format complete events ('X');
 ///  * instant ('i') and counter ('C') events for point-in-time facts
 ///    (GC runs, arena frees, fixpoint iterates);
-///  * an event-stream hook (EventSink) that external consumers attach to
-///    receive every event as it is recorded;
 ///  * a JSON exporter producing files loadable by `chrome://tracing` and
 ///    Perfetto (see docs/OBSERVABILITY.md).
 ///
 /// Cost model: every producer site is guarded by `obs::enabled()` — a
 /// single inlined load of one global bool, no virtual dispatch, no
-/// allocation. With no recorder and no sinks attached the flag is false
+/// allocation. With no recorder and no metrics attached the flag is false
 /// and the hot paths fall straight through; all strings, locks, and
 /// clock reads happen only behind an enabled check.
 ///
@@ -63,24 +61,14 @@ struct TraceEvent {
   std::vector<std::pair<std::string, std::string>> Args;
 };
 
-/// Receives every event as it is recorded — the runtime event stream.
-/// Sinks run under the trace lock; keep callbacks short.
-class EventSink {
-public:
-  virtual ~EventSink() = default;
-  virtual void onEvent(const TraceEvent &E) = 0;
-};
-
 namespace detail {
-/// True iff any consumer is attached: the recorder, a sink, or the
-/// metrics registry (Metrics.h). Atomic because producer sites check
+/// True iff any consumer is attached: the recorder or the metrics
+/// registry (Metrics.h). Atomic because producer sites check
 /// these from the big-stack execution thread while the toggles run on
 /// the spawning thread; relaxed loads keep the off-path to one plain
 /// load on every target we build for.
 extern std::atomic<bool> Enabled;
 extern std::atomic<bool> RecorderOn;
-/// True iff events have somewhere to go: recorder or at least one sink.
-extern std::atomic<bool> StreamOn;
 /// Recomputes the derived flags; called by every enable/disable entry.
 void refreshMaster();
 } // namespace detail
@@ -89,24 +77,16 @@ void refreshMaster();
 inline bool enabled() {
   return detail::Enabled.load(std::memory_order_relaxed);
 }
-/// True when events are being kept for later export.
+/// True when events are being kept for later export; gate event
+/// construction on this, metrics on metricsEnabled().
 inline bool tracingEnabled() {
   return detail::RecorderOn.load(std::memory_order_relaxed);
-}
-/// True when emitting an event reaches a consumer (recorder or sink);
-/// gate event construction on this, metrics on metricsEnabled().
-inline bool streamEnabled() {
-  return detail::StreamOn.load(std::memory_order_relaxed);
 }
 
 /// Turns the in-memory recorder on/off. Enabling does not clear
 /// previously recorded events; use clearTrace() for a fresh run.
 void enableTracing();
 void disableTracing();
-
-/// Attaches/detaches an event-stream sink (not owned).
-void addSink(EventSink *S);
-void removeSink(EventSink *S);
 
 /// Copy of everything recorded so far (thread-safe).
 std::vector<TraceEvent> snapshot();
@@ -130,8 +110,8 @@ bool writeChromeTrace(const std::string &Path);
 /// Quotes and escapes \p S as a JSON string literal (with the quotes).
 std::string jsonQuote(std::string_view S);
 
-/// Records \p E (stamping timestamp/thread if unset) into the recorder
-/// and all sinks. Call only behind enabled().
+/// Records \p E (stamping timestamp/thread if unset) into the recorder.
+/// Call only behind enabled().
 void record(TraceEvent E);
 
 /// Records an instant event.
@@ -169,30 +149,6 @@ private:
   bool Active = false;
   int64_t StartUs = 0;
   TraceEvent Ev;
-};
-
-/// RAII phase timer for pipeline stages: always measures wall time
-/// (independent of tracing) and appends {Name, micros} to \p Out at
-/// destruction; additionally emits a Span event when tracing is enabled
-/// and per-phase counters into the global metrics registry when metrics
-/// are enabled (see Metrics.h).
-class PhaseTimer {
-public:
-  using PhaseTimes = std::vector<std::pair<std::string, int64_t>>;
-
-  PhaseTimer(PhaseTimes *Out, const char *Name,
-             const char *Category = "pipeline");
-  ~PhaseTimer();
-  PhaseTimer(const PhaseTimer &) = delete;
-  PhaseTimer &operator=(const PhaseTimer &) = delete;
-
-  Span &span() { return S; }
-
-private:
-  PhaseTimes *Out;
-  const char *Name;
-  Span S;
-  int64_t StartUs;
 };
 
 } // namespace eal::obs

@@ -24,7 +24,6 @@
 
 #include "prof/Profiler.h"
 #include "runtime/SpecHooks.h"
-#include "support/Diagnostics.h"
 
 #include <algorithm>
 #include <cassert>
@@ -40,115 +39,29 @@ using namespace eal;
 Vm::Vm(const Chunk &C, DiagnosticEngine &Diags) : Vm(C, Diags, Options()) {}
 
 Vm::Vm(const Chunk &C, DiagnosticEngine &Diags, Options Opts)
-    : C(C), Diags(Diags), Opts(Opts),
-      TheHeap(Stats, Heap::Options{Opts.HeapCapacity, Opts.AllowHeapGrowth,
-                                   0.2}) {
-  TheHeap.setRootScanner([this](Marker &M) {
-    ++MarkEpoch;
-    for (RtValue V : Stack)
-      M.value(V);
-    auto MarkFrameChain = [&](EnvFrame *F) {
-      for (; F && F->MarkEpoch != MarkEpoch; F = F->Parent.get()) {
-        F->MarkEpoch = MarkEpoch;
-        for (auto &Slot : F->Slots)
-          M.value(Slot.second);
-      }
-    };
-    for (CallFrame &Frame : Frames) {
-      MarkFrameChain(Frame.Env.get());
-      for (RtValue V : Frame.Pending)
-        M.value(V);
-    }
-  });
-  TheHeap.setClosureTracer([this](const RtClosure *Closure, Marker &M) {
-    for (RtValue V : Closure->Partial)
-      M.value(V);
-    for (EnvFrame *F = Closure->Env.get();
-         F && F->MarkEpoch != MarkEpoch; F = F->Parent.get()) {
-      F->MarkEpoch = MarkEpoch;
-      for (auto &Slot : F->Slots)
-        M.value(Slot.second);
-    }
-  });
-  Hooks.AllocateCell = [this](uint32_t Site) { return allocateCell(Site); };
-  Hooks.Error = [this](const std::string &Message) { error(Message); };
-  Hooks.Cells = &TheHeap;
-  TheHeap.setObserver(Opts.Observer);
-  Prof = Opts.Profiler;
-  Spec = Opts.Spec;
+    : C(C), Core(Opts, Diags, "vm: ",
+                 [this](Marker &M) {
+                   for (RtValue V : Stack)
+                     M.value(V);
+                   for (CallFrame &Frame : Frames) {
+                     Core.markEnv(Frame.Env.get(), M);
+                     for (RtValue V : Frame.Pending)
+                       M.value(V);
+                   }
+                 }),
+      Prof(Opts.Profiler) {
   if (Prof)
     Prof->beginVm(C.Protos.size(), NumOpcodes);
   // Intern one closure per primitive-as-value site up front; PushPrim
   // is then a plain push, never an allocation.
   InternedPrims.reserve(C.PrimRefs.size());
   for (const Chunk::PrimRef &Ref : C.PrimRefs) {
-    RtClosure *Closure = newClosure();
+    RtClosure *Closure = Core.newClosure();
     Closure->IsPrim = true;
     Closure->Op = Ref.Op;
     Closure->PrimNodeId = Ref.Site;
     InternedPrims.push_back(Closure);
   }
-}
-
-Vm::~Vm() {
-  for (const EnvPtr &Frame : RecFrames)
-    Frame->Slots.clear();
-  for (const std::unique_ptr<RtClosure> &Closure : Closures)
-    Closure->Env.reset();
-}
-
-bool Vm::error(const std::string &Message) {
-  if (!Failed)
-    Diags.error(SourceLoc::invalid(), "vm: " + Message);
-  Failed = true;
-  return false;
-}
-
-RtClosure *Vm::newClosure() {
-  Closures.push_back(std::make_unique<RtClosure>());
-  ++Stats.ClosuresCreated;
-  return Closures.back().get();
-}
-
-ConsCell *Vm::allocateCell(uint32_t SiteId) {
-  for (auto It = ArenaStack.rbegin(); It != ArenaStack.rend(); ++It) {
-    if (!It->Enabled) [[unlikely]]
-      continue; // deopted speculative directive: heap like conservative
-    auto SiteIt = It->Directive->Sites.find(SiteId);
-    if (SiteIt == It->Directive->Sites.end())
-      continue;
-    CellClass Class = SiteIt->second == ArenaSiteClass::Stack
-                          ? CellClass::Stack
-                          : CellClass::Region;
-    return TheHeap.allocateInArena(It->Handle, Class, SiteId,
-                                   It->Directive->SpecIndex >= 0);
-  }
-  return TheHeap.allocateHeap(SiteId);
-}
-
-bool Vm::freeArenas(std::vector<size_t> &Arenas, const RtValue *Result) {
-  if (Arenas.empty())
-    return true;
-  if (Result)
-    Stack.push_back(*Result); // root during validation
-  bool Ok = true;
-  for (size_t Handle : Arenas) {
-    // The spec runtime sees every close first: injected guard failures
-    // fire here, migrating the speculative cells out before the
-    // (then-empty) arena is spliced away.
-    if (Spec) [[unlikely]]
-      Spec->arenaClosing(static_cast<uint32_t>(Handle));
-    if (Opts.ValidateArenaFrees && TheHeap.arenaIsReachable(Handle)) {
-      Ok = error("allocation plan error: arena cell still reachable when "
-                 "its activation returned");
-      break;
-    }
-    TheHeap.freeArena(Handle);
-  }
-  if (Result)
-    Stack.pop_back();
-  Arenas.clear();
-  return Ok;
 }
 
 void Vm::takePendingArenas(uint32_t N, std::vector<size_t> &Arenas) {
@@ -163,27 +76,25 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
   // Root the in-flight values while primitive steps may allocate.
   for (;;) {
     if (!Callee.isClosure()) {
-      freeArenas(Arenas, nullptr);
-      return error("applied a non-function value");
+      Core.closeArenas(Arenas, nullptr);
+      return Core.error("applied a non-function value");
     }
     RtClosure *Closure = Callee.closure();
-    ++Stats.Applications;
+    ++Core.Stats.Applications;
 
     if (Closure->IsPrim) {
       unsigned Arity = primOpArity(Closure->Op);
       size_t Have = Closure->Partial.size();
       if (Have + Args.size() < Arity) {
-        RtClosure *Next = newClosure();
+        RtClosure *Next = Core.newClosure();
         Next->IsPrim = true;
         Next->Op = Closure->Op;
         Next->PrimNodeId = Closure->PrimNodeId;
         Next->Partial = Closure->Partial;
         Next->Partial.insert(Next->Partial.end(), Args.begin(), Args.end());
+        assert(Arenas.empty() &&
+               "arena directive on a call whose callee is partial");
         Stack.push_back(RtValue::makeClosure(Next));
-        // A partial application cannot own arenas safely; keep them to
-        // the end of the run (planner only marks saturated calls).
-        OrphanArenas.insert(OrphanArenas.end(), Arenas.begin(),
-                            Arenas.end());
         return true;
       }
       size_t Need = Arity - Have;
@@ -196,15 +107,16 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
       for (RtValue V : Full)
         Stack.push_back(V);
       std::optional<RtValue> R =
-          evalSaturatedPrim(Closure->Op, Closure->PrimNodeId, Full, Hooks);
+          evalSaturatedPrim(Closure->Op, Closure->PrimNodeId, Full,
+                            Core.Hooks);
       Stack.resize(Mark);
       if (!R) {
-        freeArenas(Arenas, nullptr);
+        Core.closeArenas(Arenas, nullptr);
         return false;
       }
       Args.erase(Args.begin(), Args.begin() + Need);
       if (Args.empty()) {
-        if (!freeArenas(Arenas, &*R))
+        if (!Core.closeArenas(Arenas, &*R))
           return false;
         Stack.push_back(*R);
         return true;
@@ -218,13 +130,14 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
     const Proto &P = C.Protos[Closure->ProtoIdx];
     size_t Have = Closure->Partial.size();
     if (Have + Args.size() < P.Arity) {
-      RtClosure *Next = newClosure();
+      RtClosure *Next = Core.newClosure();
       Next->ProtoIdx = Closure->ProtoIdx;
       Next->Env = Closure->Env;
       Next->Partial = Closure->Partial;
       Next->Partial.insert(Next->Partial.end(), Args.begin(), Args.end());
+      assert(Arenas.empty() &&
+             "arena directive on a call whose callee is partial");
       Stack.push_back(RtValue::makeClosure(Next));
-      OrphanArenas.insert(OrphanArenas.end(), Arenas.begin(), Arenas.end());
       return true;
     }
 
@@ -254,8 +167,8 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
       CF.StackBase = Stack.size();
     }
     Frames.push_back(std::move(CF));
-    if (Frames.size() > Stats.PeakCallFrames)
-      Stats.PeakCallFrames = Frames.size();
+    if (Frames.size() > Core.Stats.PeakCallFrames)
+      Core.Stats.PeakCallFrames = Frames.size();
     if (Prof) [[unlikely]]
       Prof->framePushed(static_cast<uint32_t>(Closure->ProtoIdx));
     return true;
@@ -324,7 +237,7 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
     RtValue &A = Stack[Size - 1];
     if (A.isCons()) {
       ConsCell *Cell = A.cell();
-      TheHeap.touch(Cell);
+      Core.TheHeap.touch(Cell);
       A = Op == PrimOp::Car ? Cell->Car : Cell->Cdr;
       return true;
     }
@@ -335,7 +248,7 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
     RtValue &A = Stack[Size - 1];
     if (A.isPair()) {
       ConsCell *Cell = A.cell();
-      TheHeap.touch(Cell);
+      Core.TheHeap.touch(Cell);
       A = Op == PrimOp::Fst ? Cell->Car : Cell->Cdr;
       return true;
     }
@@ -344,9 +257,9 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
   case PrimOp::Cons:
   case PrimOp::MkPair: {
     // The arguments stay rooted on the stack across a possible GC.
-    ConsCell *Cell = allocateCell(Site);
+    ConsCell *Cell = Core.allocateCell(Site);
     if (!Cell)
-      return error("out of heap cells");
+      return Core.error("out of heap cells");
     Cell->Car = Stack[Size - 2];
     Cell->Cdr = Stack[Size - 1];
     Stack[Size - 2] = Op == PrimOp::Cons ? RtValue::makeCons(Cell)
@@ -357,7 +270,8 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
   case PrimOp::DCons: {
     RtValue &P = Stack[Size - 3];
     if (P.isCons()) {
-      TheHeap.reuse(P.cell(), Site, Stack[Size - 2], Stack[Size - 1]);
+      Core.TheHeap.reuse(P.cell(), Site, Stack[Size - 2],
+                         Stack[Size - 1]);
       Stack.resize(Size - 2);
       return true;
     }
@@ -370,7 +284,7 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
   unsigned Arity = primOpArity(Op);
   assert(Size >= Arity && "prim stack underflow");
   std::span<const RtValue> Args(Stack.data() + Size - Arity, Arity);
-  std::optional<RtValue> R = evalSaturatedPrim(Op, Site, Args, Hooks);
+  std::optional<RtValue> R = evalSaturatedPrim(Op, Site, Args, Core.Hooks);
   if (!R)
     return false;
   Stack.resize(Size - Arity);
@@ -391,7 +305,7 @@ bool Vm::doCall(size_t N, uint32_t NumPending) {
       assert(Closure->ProtoIdx >= 0 && "interpreter closure inside the VM");
       const Proto &P = C.Protos[Closure->ProtoIdx];
       if (P.Arity == N) {
-        ++Stats.Applications;
+        ++Core.Stats.Applications;
         CallFrame CF;
         CF.P = &P;
         CF.Ip = 0;
@@ -414,8 +328,8 @@ bool Vm::doCall(size_t N, uint32_t NumPending) {
           CF.StackBase = Stack.size();
         }
         Frames.push_back(std::move(CF));
-        if (Frames.size() > Stats.PeakCallFrames)
-          Stats.PeakCallFrames = Frames.size();
+        if (Frames.size() > Core.Stats.PeakCallFrames)
+          Core.Stats.PeakCallFrames = Frames.size();
         if (Prof) [[unlikely]]
           Prof->framePushed(static_cast<uint32_t>(Closure->ProtoIdx));
         return true;
@@ -456,7 +370,7 @@ bool Vm::doTailCall(size_t N, uint32_t NumPending) {
       if (P.Arity == N) {
         // Reuse the frame in place: deep tail recursion runs in O(1)
         // call frames.
-        ++Stats.Applications;
+        ++Core.Stats.Applications;
         if (P.FlatFrame) {
           std::move(Stack.end() - N, Stack.end(), Stack.begin() + Base);
           Stack.resize(Base + N);
@@ -496,7 +410,7 @@ bool Vm::doReturn() {
   if (Prof) [[unlikely]]
     Prof->framePopped();
   Stack.resize(Finished.StackBase);
-  if (!freeArenas(Finished.Arenas, &Result))
+  if (!Core.closeArenas(Finished.Arenas, &Result))
     return false;
   if (!Finished.Pending.empty())
     return applyValue(Result, std::move(Finished.Pending), {});
@@ -505,7 +419,7 @@ bool Vm::doReturn() {
 }
 
 std::optional<RtValue> Vm::run() {
-  Failed = false;
+  Core.Failed = false;
 
   // Enter the entry proto.
   {
@@ -514,7 +428,8 @@ std::optional<RtValue> Vm::run() {
     CF.Env = std::make_shared<EnvFrame>();
     CF.StackBase = 0;
     Frames.push_back(std::move(CF));
-    Stats.PeakCallFrames = std::max<uint64_t>(Stats.PeakCallFrames, 1);
+    Core.Stats.PeakCallFrames =
+        std::max<uint64_t>(Core.Stats.PeakCallFrames, 1);
     if (Prof)
       Prof->framePushed(C.Entry);
   }
@@ -558,8 +473,8 @@ std::optional<RtValue> Vm::run() {
 #define VM_OP(name) op_##name:
 #define VM_NEXT_FAST()                                                       \
   do {                                                                       \
-    if (++Steps > Opts.MaxSteps) {                                           \
-      error("execution exceeded the step budget");                           \
+    if (++Steps > Core.Opts.MaxSteps) {                                      \
+      Core.error("execution exceeded the step budget");                      \
       goto run_done;                                                         \
     }                                                                        \
     In = IP++;                                                               \
@@ -595,8 +510,8 @@ std::optional<RtValue> Vm::run() {
 
   VM_RELOAD();
   for (;;) {
-    if (++Steps > Opts.MaxSteps) {
-      error("execution exceeded the step budget");
+    if (++Steps > Core.Opts.MaxSteps) {
+      Core.error("execution exceeded the step budget");
       break;
     }
     In = IP++;
@@ -638,7 +553,7 @@ std::optional<RtValue> Vm::run() {
     VM_NEXT_FAST();
   }
   VM_OP(MakeClosure) {
-    RtClosure *Closure = newClosure();
+    RtClosure *Closure = Core.newClosure();
     Closure->ProtoIdx = In->A;
     Closure->Env = F->Env;
     Stack.push_back(RtValue::makeClosure(Closure));
@@ -669,7 +584,7 @@ std::optional<RtValue> Vm::run() {
     RtValue Cond = Stack.back();
     Stack.pop_back();
     if (!Cond.isBool()) {
-      error("if condition is not a boolean");
+      Core.error("if condition is not a boolean");
       VM_FAIL();
     }
     if (!Cond.boolValue())
@@ -712,7 +627,7 @@ std::optional<RtValue> Vm::run() {
     Child->Slots.assign(static_cast<size_t>(In->A),
                         {Symbol::invalid(), RtValue::makeNil()});
     if (In->B)
-      RecFrames.push_back(Child);
+      Core.keepRecFrame(Child);
     F->Env = std::move(Child);
     VM_NEXT_FAST();
   }
@@ -733,29 +648,16 @@ std::optional<RtValue> Vm::run() {
     VM_NEXT_FAST();
   }
   VM_OP(BeginArena) {
-    const ArgArenaDirective *D = C.Directives[static_cast<size_t>(In->A)];
-    size_t Handle = TheHeap.createArena();
-    bool Enabled = true;
-    if (D->SpecIndex >= 0) [[unlikely]] {
-      // A speculative directive is honored only while its guard holds;
-      // after a deopt the arena still exists (uniform bookkeeping) but
-      // stays empty, so allocation matches the conservative plan.
-      Enabled = Spec && Spec->directiveArmed(D->SpecIndex);
-      if (Enabled)
-        Spec->arenaOpened(D->SpecIndex, static_cast<uint32_t>(Handle));
-    }
-    ArenaStack.push_back(ActiveArena{D, Handle, Enabled});
+    Core.enterArena(C.Directives[static_cast<size_t>(In->A)]);
     VM_NEXT_FAST();
   }
   VM_OP(GuardSpec) {
-    if (Spec) [[unlikely]]
-      Spec->guardReached(static_cast<uint32_t>(In->A));
+    if (Core.Opts.Spec) [[unlikely]]
+      Core.Opts.Spec->guardReached(static_cast<uint32_t>(In->A));
     VM_NEXT_FAST();
   }
   VM_OP(StashArena) {
-    assert(!ArenaStack.empty() && "stash without an active arena");
-    PendingArenas.push_back(ArenaStack.back().Handle);
-    ArenaStack.pop_back();
+    PendingArenas.push_back(Core.leaveArena());
     VM_NEXT_FAST();
   }
 
@@ -771,16 +673,10 @@ std::optional<RtValue> Vm::run() {
 #undef VM_FAIL
 
 run_done:
-  Stats.Steps = Steps;
+  Core.Stats.Steps = Steps;
   if (Prof)
     Prof->finish();
-  for (size_t Handle : OrphanArenas) {
-    if (Spec) [[unlikely]]
-      Spec->arenaClosing(static_cast<uint32_t>(Handle));
-    TheHeap.freeArena(Handle);
-  }
-  OrphanArenas.clear();
-  if (Failed || Stack.empty())
+  if (Core.Failed || Stack.empty())
     return std::nullopt;
   RtValue Result = Stack.back();
   Stack.clear();

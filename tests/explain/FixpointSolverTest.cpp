@@ -45,7 +45,7 @@ public:
     S.evaluate(
         Entries[I],
         {FactKind::Binding, Ns, I, "test equation", SourceLoc::invalid()},
-        [&] { return "x" + std::to_string(I); },
+        [&] { return std::string("x").append(std::to_string(I)); },
         [&](uint32_t) {
           ++Evals[I];
           return Equations[I]();
@@ -165,7 +165,7 @@ TEST(FixpointSolver, ProvenanceRecordsQueryLocalRaisesAndReadDeps) {
   auto Query = [&](uint64_t Key, unsigned Unknown) {
     uint32_t QF = Sys.S.openFact(
         {FactKind::Query, QueryNs, Key, "test query", SourceLoc::invalid()},
-        [&] { return "q" + std::to_string(Key); });
+        [&] { return std::string("q").append(std::to_string(Key)); });
     EXPECT_TRUE(Sys.S.run([&] { Sys.get(Unknown); }));
     Sys.S.closeFact(QF, [] { return std::string("done"); });
     return QF;

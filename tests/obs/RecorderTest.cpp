@@ -24,6 +24,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 
 using namespace eal;
@@ -89,7 +90,13 @@ TEST_P(StreamRoundTrip, TimelineReconcilesWithRuntimeStats) {
                     T.BirthsByClass[rec::TlRegion];
   EXPECT_EQ(Births, R.Stats.totalCellsAllocated());
   EXPECT_EQ(T.GcRuns, R.Stats.GcRuns);
-  EXPECT_FALSE(T.Phases.empty());
+  // The pipeline's phases and the optimizer's layers inside "optimize"
+  // are both bands.
+  std::set<std::string> Bands;
+  for (const rec::PhaseBand &B : T.Phases)
+    Bands.insert(B.Name);
+  EXPECT_TRUE(Bands.count("optimize"));
+  EXPECT_TRUE(Bands.count("final-escape"));
   std::remove(Path.c_str());
 }
 

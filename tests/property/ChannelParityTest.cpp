@@ -10,17 +10,21 @@
 // over every shipped example (plain, speculative, and with a forced
 // deopt) and over generated programs. The liveness oracle needs only
 // births and touches, so it must produce the same report on either
-// engine.
+// engine. Both engines open and free arenas by one protocol, so a
+// replayed --record stream counts the same arena events on both.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ProgramGenerator.h"
 
 #include "driver/Pipeline.h"
+#include "obs/Timeline.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -158,6 +162,67 @@ TEST(ChannelParity, LiveOracleAgreesAcrossEnginesOnEveryExample) {
     EXPECT_EQ(Report[0], Report[1]) << Path;
     EXPECT_EQ(LastTouch[0], LastTouch[1]) << Path;
   }
+}
+
+/// Runs \p Options on both engines, each with a --record stream that
+/// obs::rec::Timeline replays (as `eal timeline` does), and checks that
+/// the two opened and freed the same arenas holding the same cells.
+void expectArenaParity(const std::string &Source, PipelineOptions Options,
+                       const std::string &Label) {
+  std::array<uint64_t, 4> Arenas[2];
+  for (int I = 0; I != 2; ++I) {
+    Options.Engine =
+        I ? ExecutionEngine::Bytecode : ExecutionEngine::TreeWalker;
+    // Named per test: ctest runs the tests of this file in parallel.
+    Options.Obs.RecordPath =
+        testing::TempDir() +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".rec";
+    PipelineResult R = runPipeline(Source, Options);
+    EXPECT_TRUE(R.Success) << Label << ":\n" << R.diagnostics();
+    obs::rec::Timeline T;
+    std::string Err;
+    EXPECT_TRUE(T.load(Options.Obs.RecordPath, &Err)) << Label << ": " << Err;
+    std::remove(Options.Obs.RecordPath.c_str());
+    Arenas[I] = {T.ArenaOpens, T.ArenaFrees, T.ArenaStackCellsFreed,
+                 T.ArenaRegionCellsFreed};
+  }
+  EXPECT_EQ(Arenas[0], Arenas[1])
+      << "ENGINES DISAGREE ON ARENA EVENTS (opens, frees, stack cells, "
+         "region cells): "
+      << Label;
+}
+
+TEST(ChannelParity, ArenaEventsAgreeAcrossEnginesOnEveryExample) {
+  for (const auto &Path : exampleFiles()) {
+    std::string Source = slurp(Path);
+    for (int Spec = 0; Spec != 3; ++Spec) {
+      PipelineOptions Options;
+      Options.IncludeStdlib = Source.find("--stdlib") != std::string::npos;
+      Options.Spec.Enable = Spec != 0;
+      Options.Spec.Inject.All = Spec == 2;
+      expectArenaParity(Source, Options,
+                        Path.filename().string() + " spec mode " +
+                            std::to_string(Spec));
+    }
+  }
+}
+
+TEST(ChannelParity, DeoptedProgramOpensTheSameArenasOnBothEngines) {
+  // After the injected deopt, each later call of keep's speculative
+  // directive is disarmed: neither engine may open an arena for it.
+  const char *Source =
+      "letrec\n"
+      "  build n = if n = 0 then nil else cons n (build (n - 1));\n"
+      "  suml l = if (null l) then 0 else (car l) + (suml (cdr l));\n"
+      "  keep b l = if b then l else cons (suml l) nil;\n"
+      "  loop k acc = if k = 0 then acc\n"
+      "               else loop (k - 1) (acc + suml (keep false (build 8)))\n"
+      "in loop 5 0\n";
+  PipelineOptions Options;
+  Options.Spec.Enable = true;
+  Options.Spec.Inject.All = true;
+  expectArenaParity(Source, Options, "deopted keep");
 }
 
 class ChannelParitySeeds : public ::testing::TestWithParam<uint32_t> {};

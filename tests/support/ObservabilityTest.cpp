@@ -4,11 +4,13 @@
 // (Park & Goldberg, PLDI 1992).
 //
 // Unit tests for the observability subsystem (support/Trace.h,
-// support/Metrics.h): span nesting, the event stream, Chrome trace JSON
-// well-formedness, histograms, the registry, and RuntimeStats export.
+// support/Metrics.h, and the phase timer of obs/Recorder.h): span
+// nesting, Chrome trace JSON well-formedness, histograms, the registry,
+// and RuntimeStats export.
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/Recorder.h"
 #include "runtime/RuntimeStats.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
@@ -282,40 +284,6 @@ TEST_F(ObservabilityTest, SpanArgsAreRecorded) {
 }
 
 //===----------------------------------------------------------------------===//
-// Event stream
-//===----------------------------------------------------------------------===//
-
-struct CollectingSink : obs::EventSink {
-  std::vector<obs::TraceEvent> Seen;
-  void onEvent(const obs::TraceEvent &E) override { Seen.push_back(E); }
-};
-
-TEST_F(ObservabilityTest, SinkReceivesEventsWithoutRecorder) {
-  CollectingSink Sink;
-  obs::addSink(&Sink);
-  EXPECT_TRUE(obs::enabled());
-  EXPECT_TRUE(obs::streamEnabled());
-  EXPECT_FALSE(obs::tracingEnabled());
-
-  obs::instant("tick", "test", {{"k", "1"}});
-  { obs::Span S("spanned", "test"); }
-
-  obs::removeSink(&Sink);
-  EXPECT_FALSE(obs::enabled());
-
-  // The sink saw both; the recorder (off) kept nothing.
-  ASSERT_EQ(Sink.Seen.size(), 2u);
-  EXPECT_EQ(Sink.Seen[0].Name, "tick");
-  EXPECT_EQ(Sink.Seen[0].Phase, 'i');
-  EXPECT_EQ(Sink.Seen[1].Name, "spanned");
-  EXPECT_EQ(obs::eventCount(), 0u);
-
-  // With everything detached, producer sites go quiet again.
-  obs::instant("ignored", "test");
-  EXPECT_EQ(Sink.Seen.size(), 2u);
-}
-
-//===----------------------------------------------------------------------===//
 // Chrome trace export
 //===----------------------------------------------------------------------===//
 
@@ -442,14 +410,11 @@ TEST_F(ObservabilityTest, HistogramBucketBoundaries) {
   EXPECT_TRUE(Reader.valid()) << Json;
 }
 
-TEST_F(ObservabilityTest, ConcurrentSpansReachSinkAndRecorder) {
-  // Two threads emitting spans and instants while a sink is attached:
-  // dispatch serializes under the obs mutex, so a plain collecting sink
-  // must see every event exactly once and the recorder must keep them
-  // all, with no torn events.
+TEST_F(ObservabilityTest, ConcurrentSpansReachRecorder) {
+  // Two threads emitting spans and instants while tracing: recording
+  // serializes under the obs mutex, so the recorder must keep every
+  // event exactly once, with no torn events.
   obs::enableTracing();
-  CollectingSink Sink;
-  obs::addSink(&Sink);
 
   constexpr int PerThread = 500;
   auto Work = [](const char *Name) {
@@ -463,18 +428,17 @@ TEST_F(ObservabilityTest, ConcurrentSpansReachSinkAndRecorder) {
   std::thread B(Work, "beta");
   A.join();
   B.join();
-  obs::removeSink(&Sink);
 
-  ASSERT_EQ(Sink.Seen.size(), 4u * PerThread);
+  std::vector<obs::TraceEvent> Seen = obs::snapshot();
+  ASSERT_EQ(Seen.size(), 4u * PerThread);
   size_t Alpha = 0, Beta = 0;
-  for (const obs::TraceEvent &E : Sink.Seen) {
+  for (const obs::TraceEvent &E : Seen) {
     EXPECT_TRUE(E.Name == "alpha" || E.Name == "beta") << E.Name;
     EXPECT_TRUE(E.Phase == 'X' || E.Phase == 'i');
     (E.Name == "alpha" ? Alpha : Beta) += 1;
   }
   EXPECT_EQ(Alpha, 2u * PerThread);
   EXPECT_EQ(Beta, 2u * PerThread);
-  EXPECT_EQ(obs::eventCount(), 4u * PerThread);
   // The export of the interleaved log is still valid JSON.
   std::string Json = obs::toChromeTraceJson();
   JsonReader Reader(Json);

@@ -24,7 +24,8 @@
 # build-ci-release/bench-archive/ and tools/bench_diff.py compares each
 # BENCH_*.json against the checked-in baseline under bench/baselines/,
 # failing on execute-time regressions past EAL_BENCH_MAX_REGRESS
-# (default +10%; see docs/PROFILING.md). The same gate holds the flight
+# (default +10%; see docs/PROFILING.md) and on any storage-counter
+# drift (--strict-counters). The same gate holds the flight
 # recorder to its always-on budget: bench_engines self-measures execute
 # time with the lite tier on vs off and bench_diff.py --overhead fails
 # past EAL_BENCH_MAX_OVERHEAD (default +2%; docs/RECORDER.md). Usage:
@@ -234,8 +235,10 @@ record_dump_smoke() {
 
 # Perf-regression gate: run each baselined bench's sweep (benchmark
 # timing loops filtered out) into bench-archive/, then diff the fresh
-# BENCH_*.json against bench/baselines/. The archive directory is kept
-# so CI can upload it as the run's perf artifact.
+# BENCH_*.json against bench/baselines/. Storage counters are
+# deterministic, so any drift from the baseline fails the gate. The
+# archive directory is kept so CI can upload it as the run's perf
+# artifact.
 bench_gate() {
   local dir="$1"
   local archive="$dir/bench-archive"
@@ -254,7 +257,7 @@ bench_gate() {
     fi
     python3 "$REPO/tools/bench_diff.py" \
         "$REPO/bench/baselines/$json" "$archive/$json" \
-        --max-time-regress "$BENCH_MAX_REGRESS"
+        --max-time-regress "$BENCH_MAX_REGRESS" --strict-counters
   done
   # Recorder overhead budget: bench_engines self-measures execute time
   # with the lite event tier on vs off (obs_overhead/* records); the
