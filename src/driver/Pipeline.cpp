@@ -219,17 +219,9 @@ void runPipelineImpl(const std::string &Source,
     }
     if (PreValue) {
       obs::PhaseTimer T(&R.PhaseMicros, "spec-plan");
-      spec::SpecPlannerOptions SPO;
-      SPO.ColdMaxEntries = Options.Spec.ColdMaxEntries;
-      SPO.HotMinAllocs = Options.Spec.HotMinAllocs;
-      SPO.Mode = Options.Mode;
-      SPO.Analysis = OptConfig.Analysis;
-      SPO.EnableStack = OptConfig.EnableStack;
-      SPO.EnableRegion = OptConfig.EnableRegion;
-      SPO.Prov = R.Prov.get();
       R.SpecPlan = spec::planSpeculation(*R.Ast, R.Optimized->Root,
                                          R.Optimized->Plan, Branches,
-                                         PreProfile, SPO);
+                                         PreProfile, OptConfig, Options.Spec);
       if (R.SpecPlan->anySpeculation()) {
         R.SpecRT = std::make_unique<spec::SpecRuntime>(*R.SpecPlan,
                                                        Options.Spec.Inject);

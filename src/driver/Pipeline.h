@@ -155,13 +155,11 @@ struct PipelineOptions {
   /// profile-cold branches and executes the merged plan with a
   /// spec::SpecRuntime attached. Requires execution; ignored for
   /// plan-only invocations.
-  struct SpeculationOptions {
+  /// The planner's thresholds are the inherited SpecPlannerOptions.
+  struct SpeculationOptions : spec::SpecPlannerOptions {
     bool Enable = false;
     /// Deterministic guard-failure injection (--spec-inject-deopt).
     spec::SpecInjection Inject;
-    /// Planner knobs (SpecPlannerOptions mirrors).
-    uint64_t ColdMaxEntries = 0;
-    uint64_t HotMinAllocs = 8;
   };
   SpeculationOptions Spec;
   /// Tracing / stats export / profiler routing.

@@ -57,8 +57,15 @@ ProfileReport::ProfileReport(const AstContext &Ast, const SourceManager &SM,
       }
     };
     if (const auto *LR = dyn_cast<LetrecExpr>(E)) {
-      for (const LetrecBinding &B : LR->bindings())
+      for (const LetrecBinding &B : LR->bindings()) {
         NameChain(B.Name, B.Value);
+        for (const ReuseVersion &V : this->Reuse.Versions)
+          if (B.Name == V.Primed)
+            forEachAllocSite(B.Value, [&](const Expr *Site, PrimOp Op) {
+              if (Op == PrimOp::DCons)
+                DconsVersions.emplace(Site->id(), &V);
+            });
+      }
     } else if (const auto *LE = dyn_cast<LetExpr>(E)) {
       NameChain(LE->name(), LE->value());
     }
@@ -96,13 +103,12 @@ std::string ProfileReport::plannedFor(uint32_t Id, PrimOp Op, SourceLoc Loc,
     OS << "cons rewritten to DCONS by the in-place reuse transformation "
           "(§6): overwrites the dead head cell of a parameter whose top "
           "spine the analysis proved unshared";
-    if (!Reuse.Versions.empty()) {
-      OS << "; reuse versions:";
-      for (const ReuseVersion &V : Reuse.Versions)
-        OS << " " << Ast.spelling(V.Primed) << " (param "
-           << (V.ParamIndex + 1) << " of " << Ast.spelling(V.Original)
-           << ")";
-      Prov = Reuse.Versions.front().ProvenanceRef;
+    auto It = DconsVersions.find(Id);
+    if (It != DconsVersions.end()) {
+      const ReuseVersion &V = *It->second;
+      OS << "; reuse version: " << Ast.spelling(V.Primed) << " (param "
+         << (V.ParamIndex + 1) << " of " << Ast.spelling(V.Original) << ")";
+      Prov = V.ProvenanceRef;
     }
     Why = OS.str();
     return "reuse";

@@ -125,6 +125,8 @@ private:
   std::unordered_map<uint32_t, std::string> TreeFrameNames;
   /// Every lambda of the final program, for the location fallback.
   std::unordered_map<uint32_t, const LambdaExpr *> Lambdas;
+  /// DCONS site id -> the reuse version whose primed binding holds it.
+  std::unordered_map<uint32_t, const ReuseVersion *> DconsVersions;
 };
 
 } // namespace prof

@@ -7,9 +7,11 @@
 
 #include "runtime/EngineCore.h"
 
+#include "prof/Profiler.h"
 #include "runtime/SpecHooks.h"
 #include "support/Diagnostics.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace eal;
@@ -56,6 +58,29 @@ RtClosure *EngineCore::newClosure() {
   Closures.push_back(std::make_unique<RtClosure>());
   ++Stats.ClosuresCreated;
   return Closures.back().get();
+}
+
+std::optional<RtValue> EngineCore::applyPrim(const RtClosure &Prim,
+                                             std::span<const RtValue> Args,
+                                             size_t &Consumed) {
+  unsigned Arity = primOpArity(Prim.Op);
+  assert(Prim.Partial.size() < Arity && "over-applied primitive closure");
+  std::vector<RtValue> Full = Prim.Partial;
+  Consumed = std::min<size_t>(Arity - Full.size(), Args.size());
+  Full.insert(Full.end(), Args.begin(), Args.begin() + Consumed);
+  if (Full.size() < Arity) {
+    // Still partial: a new primitive closure accumulating the arguments.
+    RtClosure *C = newClosure();
+    C->IsPrim = true;
+    C->Op = Prim.Op;
+    C->PrimNodeId = Prim.PrimNodeId;
+    C->Partial = std::move(Full);
+    return RtValue::makeClosure(C);
+  }
+  // Cells allocated through a primitive *value* have no static call site;
+  // they go to the heap (SiteId of the prim occurrence never appears in
+  // any directive).
+  return evalSaturatedPrim(Prim.Op, Prim.PrimNodeId, Full, Hooks);
 }
 
 void EngineCore::markEnv(EnvFrame *F, Marker &M) {
@@ -105,27 +130,45 @@ size_t EngineCore::leaveArena() {
   return Handle;
 }
 
-bool EngineCore::close(std::vector<size_t> &Arenas, const RtValue *Result,
-                       bool Validate) {
-  if (Result)
-    Pinned = *Result;
+bool EngineCore::close(std::vector<size_t> &Arenas, RtValue Result) {
+  Pinned = Result;
   bool Ok = true;
   for (size_t Handle : Arenas) {
     if (Handle == NoArena)
       continue;
-    // The spec runtime sees every close first: this is where injected
-    // guard failures fire, migrating the speculative cells out before
-    // the (then-empty) arena is spliced away.
-    if (Opts.Spec) [[unlikely]]
-      Opts.Spec->arenaClosing(static_cast<uint32_t>(Handle));
-    if (Validate && TheHeap.arenaIsReachable(Handle)) {
-      Ok = error("allocation plan error: arena cell still reachable when "
-                 "its activation returned");
+    if (!release(Handle, Opts.ValidateArenaFrees)) {
+      Ok = false;
       break;
     }
-    TheHeap.freeArena(Handle);
   }
   Pinned = RtValue::makeNil();
   Arenas.clear();
   return Ok;
+}
+
+bool EngineCore::release(size_t Handle, bool Validate) {
+  // The spec runtime sees every close first: this is where injected
+  // guard failures fire, migrating the speculative cells out before
+  // the (then-empty) arena is spliced away.
+  if (Opts.Spec) [[unlikely]]
+    Opts.Spec->arenaClosing(static_cast<uint32_t>(Handle));
+  if (Validate && TheHeap.arenaIsReachable(Handle))
+    return error("allocation plan error: arena cell still reachable when "
+                 "its activation returned");
+  TheHeap.freeArena(Handle);
+  return true;
+}
+
+std::optional<RtValue> EngineCore::endRun(std::optional<RtValue> Result) {
+  // After the first error nothing evaluates, so the arenas still live are
+  // exactly those of the activations the error abandoned.
+  if (Failed)
+    for (size_t Handle : TheHeap.liveArenas())
+      release(Handle, /*Validate=*/false);
+  ArenaStack.clear();
+  if (Opts.Profiler)
+    Opts.Profiler->finish();
+  if (Failed)
+    return std::nullopt;
+  return Result;
 }

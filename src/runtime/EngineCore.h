@@ -20,8 +20,10 @@
 ///    of its argument and belongs to the call's activation. A disarmed
 ///    speculative directive opens none. When the activation returns, the
 ///    spec runtime sees each close first, then validation runs with the
-///    result rooted, then the arena is freed. On the error path arenas
-///    are discarded without validation.
+///    result rooted, then the arena is freed.
+///
+/// It also applies primitive closures, and ends every run (endRun), which
+/// releases a failed run's arenas in one place.
 ///
 /// Each engine keeps only its evaluator, its root scanner and its
 /// diagnostic text.
@@ -39,6 +41,8 @@
 #include "support/SourceLoc.h"
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,7 +87,7 @@ struct EngineOptions {
 class EngineCore {
 public:
   /// The handle leaveArena returns for a disarmed speculative directive,
-  /// which opened no arena. closeArenas and discardArenas skip it.
+  /// which opened no arena. closeArenas skips it.
   static constexpr size_t NoArena = ~size_t(0);
 
   /// \p Roots marks the engine's own roots at every collection;
@@ -99,6 +103,13 @@ public:
   bool error(const std::string &Message, SourceLoc Loc = SourceLoc::invalid());
 
   RtClosure *newClosure();
+  /// Applies primitive closure \p Prim to the leading values of \p Args:
+  /// extends it while they do not saturate it, else runs the primitive.
+  /// Sets \p Consumed to the number of values used. Returns nullopt after
+  /// a diagnostic. The caller roots \p Prim and \p Args.
+  std::optional<RtValue> applyPrim(const RtClosure &Prim,
+                                   std::span<const RtValue> Args,
+                                   size_t &Consumed);
   /// Keeps a letrec frame to the end of the run: it forms a reference
   /// cycle with its closures, broken when the core is destroyed.
   void keepRecFrame(EnvPtr Frame) { RecFrames.push_back(std::move(Frame)); }
@@ -119,17 +130,20 @@ public:
   /// from here on by the activation of the directive's call (NoArena
   /// when none opened).
   size_t leaveArena();
-  /// The owning activation returned \p Result (null when there is none):
-  /// each arena's close is announced to the spec runtime, then validated
-  /// with \p Result rooted (ValidateArenaFrees), then freed. Empties
-  /// \p Arenas. Returns false after a validation diagnostic.
-  bool closeArenas(std::vector<size_t> &Arenas, const RtValue *Result) {
-    return Arenas.empty() || close(Arenas, Result, Opts.ValidateArenaFrees);
+  /// The owning activation returned \p Result: each arena's close is
+  /// announced to the spec runtime, then validated with \p Result rooted
+  /// (ValidateArenaFrees), then freed. Empties \p Arenas. Returns false
+  /// after a validation diagnostic. On the error path the engines drop
+  /// their arenas for endRun to release.
+  bool closeArenas(std::vector<size_t> &Arenas, RtValue Result) {
+    return Arenas.empty() || close(Arenas, Result);
   }
-  /// The error path: closes \p Arenas without validation.
-  void discardArenas(std::vector<size_t> &Arenas) {
-    close(Arenas, nullptr, /*Validate=*/false);
-  }
+
+  /// Ends a run of either engine with \p Result. After a failure it
+  /// releases every arena the heap still holds, without validation. It
+  /// empties the active-arena stack and finishes the profiler. Returns
+  /// \p Result, or nullopt when the run failed.
+  std::optional<RtValue> endRun(std::optional<RtValue> Result);
 
   const EngineOptions Opts;
   RuntimeStats Stats;
@@ -139,8 +153,10 @@ public:
   bool Failed = false;
 
 private:
-  bool close(std::vector<size_t> &Arenas, const RtValue *Result,
-             bool Validate);
+  bool close(std::vector<size_t> &Arenas, RtValue Result);
+  /// Announces \p Handle's close, validates it when \p Validate, frees
+  /// it. Returns false, leaving it live, after a validation diagnostic.
+  bool release(size_t Handle, bool Validate);
 
   DiagnosticEngine &Diags;
   const char *DiagPrefix;

@@ -238,6 +238,14 @@ void Heap::freeArena(size_t Handle) {
   FreeArenaSlots.push_back(Handle);
 }
 
+std::vector<size_t> Heap::liveArenas() const {
+  std::vector<size_t> Live;
+  for (size_t H = 0; H != Arenas.size(); ++H)
+    if (Arenas[H].Live)
+      Live.push_back(H);
+  return Live;
+}
+
 size_t Heap::migrateArenaToHeap(size_t Handle) {
   assert(Handle < Arenas.size() && Arenas[Handle].Live && "stale arena");
   CellArena &A = Arenas[Handle];

@@ -151,6 +151,9 @@ public:
   /// region cells separately.
   void freeArena(size_t Handle);
 
+  /// Handles of the arenas opened and not yet freed, in handle order.
+  std::vector<size_t> liveArenas() const;
+
   //===--- Engine-side cell events ------------------------------------------==//
 
   /// A field of \p Cell is being demanded (car/cdr/fst/snd): reports the

@@ -75,34 +75,6 @@ bool Interpreter::fuel(const Expr *E) {
 //===----------------------------------------------------------------------===//
 
 std::optional<RtValue>
-Interpreter::applyPrim(RtClosure &Prim, const std::vector<RtValue> &Args,
-                       size_t First, size_t &Consumed) {
-  unsigned Arity = primOpArity(Prim.Op);
-  size_t Have = Prim.Partial.size();
-  size_t Avail = Args.size() - First;
-  assert(Have < Arity && "over-applied primitive closure");
-  if (Have + Avail < Arity) {
-    // Still partial: new primitive closure accumulating the arguments.
-    RtClosure *C = Core.newClosure();
-    C->IsPrim = true;
-    C->Op = Prim.Op;
-    C->PrimNodeId = Prim.PrimNodeId;
-    C->Partial = Prim.Partial;
-    C->Partial.insert(C->Partial.end(), Args.begin() + First, Args.end());
-    Consumed = Avail;
-    return RtValue::makeClosure(C);
-  }
-  std::vector<RtValue> Full = Prim.Partial;
-  size_t Need = Arity - Have;
-  Full.insert(Full.end(), Args.begin() + First, Args.begin() + First + Need);
-  Consumed = Need;
-  // Cells allocated through a primitive *value* have no static call site;
-  // they go to the heap (SiteId of the prim occurrence never appears in
-  // any directive).
-  return evalSaturatedPrim(Prim.Op, Prim.PrimNodeId, Full, Core.Hooks);
-}
-
-std::optional<RtValue>
 Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
                          std::vector<size_t> &&Arenas, const AppExpr *Call) {
   // Rooting discipline: slot Base holds the current callee/result; slot
@@ -127,7 +99,6 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
   bool DirectCallee = true;
   while (Idx < Args.size()) {
     if (!Current.isClosure()) {
-      Core.closeArenas(Arenas, nullptr);
       Core.error("applied a non-function value");
       return std::nullopt;
     }
@@ -136,11 +107,10 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
 
     if (C->IsPrim) {
       size_t Consumed = 0;
-      std::optional<RtValue> R = applyPrim(*C, Args, Idx, Consumed);
-      if (!R) {
-        Core.closeArenas(Arenas, nullptr);
+      std::optional<RtValue> R =
+          Core.applyPrim(*C, std::span(Args).subspan(Idx), Consumed);
+      if (!R)
         return std::nullopt;
-      }
       Idx += Consumed;
       Current = *R;
       ShadowStack[Base] = Current;
@@ -194,11 +164,7 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
         R = std::nullopt;
       }
     }
-    if (!R) {
-      Core.closeArenas(Arenas, nullptr);
-      return std::nullopt;
-    }
-    if (!Core.closeArenas(Arenas, &*R))
+    if (!R || !Core.closeArenas(Arenas, *R))
       return std::nullopt;
     Current = *R;
     ShadowStack[Base] = Current;
@@ -208,7 +174,7 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
   // saturated calls only, so no arena waits for an activation then.
   assert((Arenas.empty() || !Current.isClosure()) &&
          "arena directive on a call whose callee is partial");
-  if (!Core.closeArenas(Arenas, &Current))
+  if (!Core.closeArenas(Arenas, Current))
     return std::nullopt;
   return Current;
 }
@@ -267,10 +233,8 @@ std::optional<RtValue> Interpreter::evalCallSpine(const AppExpr *Call,
     std::optional<RtValue> V = eval(ArgExprs[I], Env);
     if (D)
       Arenas.push_back(Core.leaveArena());
-    if (!V) {
-      Core.discardArenas(Arenas);
+    if (!V)
       return std::nullopt;
-    }
     Rooted.push(*V);
     Args.push_back(*V);
   }
@@ -351,24 +315,32 @@ std::optional<RtValue> Interpreter::eval(const Expr *E, const EnvPtr &Env) {
   }
   case ExprKind::Letrec: {
     const auto *Letrec = cast<LetrecExpr>(E);
-    EnvPtr Frame = std::make_shared<EnvFrame>();
-    Frame->Parent = Env;
-    Core.keepRecFrame(Frame);
-    for (const LetrecBinding &B : Letrec->bindings())
-      Frame->Slots.emplace_back(B.Name, RtValue::makeNil());
+    EnvPtr Frame = bindLetrec(Letrec, Env);
+    if (!Frame)
+      return std::nullopt;
     FrameGuard Active(ActiveFrames, Frame.get());
-    auto Bindings = Letrec->bindings();
-    for (size_t I = 0; I != Bindings.size(); ++I) {
-      std::optional<RtValue> V = eval(Bindings[I].Value, Frame);
-      if (!V)
-        return std::nullopt;
-      Frame->Slots[I].second = *V;
-    }
     return eval(Letrec->body(), Frame);
   }
   }
   assert(false && "unhandled expression kind");
   return std::nullopt;
+}
+
+EnvPtr Interpreter::bindLetrec(const LetrecExpr *Letrec, const EnvPtr &Env) {
+  EnvPtr Frame = std::make_shared<EnvFrame>();
+  Frame->Parent = Env;
+  Core.keepRecFrame(Frame);
+  for (const LetrecBinding &B : Letrec->bindings())
+    Frame->Slots.emplace_back(B.Name, RtValue::makeNil());
+  FrameGuard Active(ActiveFrames, Frame.get());
+  auto Bindings = Letrec->bindings();
+  for (size_t I = 0; I != Bindings.size(); ++I) {
+    std::optional<RtValue> V = eval(Bindings[I].Value, Frame);
+    if (!V)
+      return nullptr;
+    Frame->Slots[I].second = *V;
+  }
+  return Frame;
 }
 
 //===----------------------------------------------------------------------===//
@@ -380,15 +352,9 @@ std::optional<RtValue> Interpreter::run() {
   EnvPtr Root = std::make_shared<EnvFrame>();
   FrameGuard Active(ActiveFrames, Root.get());
   // The profile's weight unit is RuntimeStats::Steps (prof/Profiler.h).
-  prof::Profiler *Prof = Core.Opts.Profiler;
-  if (Prof)
-    Prof->setStepClock(&Core.Stats.Steps);
-  std::optional<RtValue> Result = eval(Program.root(), Root);
-  if (Prof)
-    Prof->finish();
-  if (Core.Failed)
-    return std::nullopt;
-  return Result;
+  if (Core.Opts.Profiler)
+    Core.Opts.Profiler->setStepClock(&Core.Stats.Steps);
+  return Core.endRun(eval(Program.root(), Root));
 }
 
 std::optional<RtValue>
@@ -398,30 +364,19 @@ Interpreter::callBinding(Symbol Fn, std::span<const Expr *const> Args,
   const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
   if (!Letrec) {
     Core.error("callBinding requires a letrec program");
-    return std::nullopt;
+    return Core.endRun(std::nullopt);
   }
   EnvPtr Root = std::make_shared<EnvFrame>();
   FrameGuard ActiveRoot(ActiveFrames, Root.get());
-
-  // Build the letrec frame (mirrors the Letrec case of eval()).
-  EnvPtr Frame = std::make_shared<EnvFrame>();
-  Frame->Parent = Root;
-  Core.keepRecFrame(Frame);
-  for (const LetrecBinding &B : Letrec->bindings())
-    Frame->Slots.emplace_back(B.Name, RtValue::makeNil());
+  EnvPtr Frame = bindLetrec(Letrec, Root);
+  if (!Frame)
+    return Core.endRun(std::nullopt);
   FrameGuard Active(ActiveFrames, Frame.get());
-  auto Bindings = Letrec->bindings();
-  for (size_t I = 0; I != Bindings.size(); ++I) {
-    std::optional<RtValue> V = eval(Bindings[I].Value, Frame);
-    if (!V)
-      return std::nullopt;
-    Frame->Slots[I].second = *V;
-  }
 
   RtValue *FnSlot = Frame->find(Fn);
   if (!FnSlot) {
     Core.error("callBinding: no such binding");
-    return std::nullopt;
+    return Core.endRun(std::nullopt);
   }
 
   ShadowGuard Rooted(ShadowStack);
@@ -429,17 +384,14 @@ Interpreter::callBinding(Symbol Fn, std::span<const Expr *const> Args,
   for (const Expr *Arg : Args) {
     std::optional<RtValue> V = eval(Arg, Frame);
     if (!V)
-      return std::nullopt;
+      return Core.endRun(std::nullopt);
     Rooted.push(*V);
     Values.push_back(*V);
   }
   if (ArgValues)
     *ArgValues = Values;
-  std::optional<RtValue> Result =
-      applyValues(*FnSlot, Values, std::vector<size_t>(), nullptr);
-  if (Core.Failed)
-    return std::nullopt;
-  return Result;
+  return Core.endRun(
+      applyValues(*FnSlot, Values, std::vector<size_t>(), nullptr));
 }
 
 namespace {

@@ -85,9 +85,9 @@ private:
                                      const std::vector<RtValue> &Args,
                                      std::vector<size_t> &&Arenas,
                                      const AppExpr *Call);
-  std::optional<RtValue> applyPrim(RtClosure &Prim,
-                                   const std::vector<RtValue> &Args,
-                                   size_t First, size_t &Consumed);
+  /// Binds \p Letrec's bindings in a new frame under \p Env. Returns
+  /// null after a diagnostic.
+  EnvPtr bindLetrec(const LetrecExpr *Letrec, const EnvPtr &Env);
   bool fuel(const Expr *E);
 
   const AstContext &Ast;

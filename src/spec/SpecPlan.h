@@ -71,7 +71,8 @@ struct SpecPlan {
   bool anySpeculation() const { return !Specs.empty(); }
 };
 
-/// Knobs for the speculative planner.
+/// The speculative planner's thresholds. Its analysis configuration is
+/// the optimizer's (planSpeculation).
 struct SpecPlannerOptions {
   /// A branch is prunable when its profile entry count is at most this
   /// (default: only never-entered branches).
@@ -80,16 +81,6 @@ struct SpecPlannerOptions {
   /// enables covers a site with at least this many profiled heap
   /// allocations — no point guarding a site that never allocates.
   uint64_t HotMinAllocs = 8;
-  /// The pruned-clone re-analysis must match the conservative pipeline's
-  /// configuration, or the back-mapped directives would compare apples
-  /// to oranges.
-  TypeInferenceMode Mode = TypeInferenceMode::Polymorphic;
-  EscapeAnalysisMode Analysis = EscapeAnalysisMode::SpineAware;
-  bool EnableStack = true;
-  bool EnableRegion = true;
-  /// Why-provenance recorder: when attached, every accepted speculation
-  /// records a FactKind::Speculation fact citing its profile evidence.
-  explain::ProvenanceRecorder *Prov = nullptr;
 };
 
 } // namespace spec

@@ -9,6 +9,7 @@
 
 #include "lang/AstCloner.h"
 #include "lang/AstUtils.h"
+#include "opt/Optimizer.h"
 #include "prof/Profiler.h"
 #include "support/Diagnostics.h"
 #include "types/Type.h"
@@ -76,6 +77,7 @@ SpecPlan spec::planSpeculation(AstContext &Ast, const Expr *Root,
                                const AllocationPlan &Conservative,
                                const BranchProfile &Branches,
                                const prof::Profiler &Profile,
+                               const OptimizerConfig &Config,
                                const SpecPlannerOptions &Options) {
   SpecPlan Plan;
   Plan.Merged.Directives = Conservative.Directives;
@@ -135,15 +137,15 @@ SpecPlan spec::planSpeculation(AstContext &Ast, const Expr *Root,
 
     DiagnosticEngine ScratchDiags;
     TypeContext ScratchTypes;
-    TypeInference Inference(Ast, ScratchTypes, ScratchDiags, Options.Mode);
+    TypeInference Inference(Ast, ScratchTypes, ScratchDiags, Config.Mode);
     std::optional<TypedProgram> Typed = Inference.run(CloneRoot);
     if (!Typed || ScratchDiags.hasErrors())
       continue;
 
-    EscapeAnalyzer Analyzer(Ast, *Typed, ScratchDiags, 512, Options.Analysis);
+    EscapeAnalyzer Analyzer(Ast, *Typed, ScratchDiags, 512, Config.Analysis);
     AllocPlannerOptions PlannerOptions;
-    PlannerOptions.EnableStack = Options.EnableStack;
-    PlannerOptions.EnableRegion = Options.EnableRegion;
+    PlannerOptions.EnableStack = Config.EnableStack;
+    PlannerOptions.EnableRegion = Config.EnableRegion;
     AllocPlanner Planner(Ast, *Typed, Analyzer, PlannerOptions);
     AllocationPlan ClonePlan = Planner.run();
 
@@ -195,18 +197,18 @@ SpecPlan spec::planSpeculation(AstContext &Ast, const Expr *Root,
     S.HotEntries = C.HotEntries;
     S.ColdEntries = C.ColdEntries;
 
-    if (Options.Prov) {
+    if (Config.Explain) {
       std::ostringstream Label, Result;
       Label << "speculate(if@" << C.If->id() << ", prune "
             << (C.Pruned == C.If->elseExpr() ? "else" : "then")
             << ", hot=" << C.HotEntries << ", cold=" << C.ColdEntries << ')';
       Result << Mapped.size() << " guarded directive(s)";
-      S.ProvenanceRef = Options.Prov->fresh(
+      S.ProvenanceRef = Config.Explain->fresh(
           explain::FactKind::Speculation, Label.str(),
           "partial escape analysis with deoptimization "
           "(docs/SPECULATION.md)",
           C.If->loc());
-      Options.Prov->result(S.ProvenanceRef, Result.str());
+      Config.Explain->result(S.ProvenanceRef, Result.str());
     }
 
     for (ArgArenaDirective &M : Mapped) {

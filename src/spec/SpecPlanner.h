@@ -31,6 +31,8 @@
 
 namespace eal {
 
+struct OptimizerConfig;
+
 namespace prof {
 class Profiler;
 }
@@ -64,11 +66,14 @@ private:
 /// pre-run of the same program. Clones are allocated into \p Ast and
 /// analyzed with scratch type/diagnostic contexts; the original program
 /// and its contexts are never mutated. The returned plan's Merged
-/// directives are indexed and ready to execute.
+/// directives are indexed and ready to execute. \p Config is the
+/// conservative pipeline's, so the clones are analyzed alike; its
+/// recorder, when attached, gets a Speculation fact per speculation.
 SpecPlan planSpeculation(AstContext &Ast, const Expr *Root,
                          const AllocationPlan &Conservative,
                          const BranchProfile &Branches,
                          const prof::Profiler &Profile,
+                         const OptimizerConfig &Config,
                          const SpecPlannerOptions &Options);
 
 } // namespace spec

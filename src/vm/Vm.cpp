@@ -73,50 +73,26 @@ void Vm::takePendingArenas(uint32_t N, std::vector<size_t> &Arenas) {
 
 bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
                     std::vector<size_t> Arenas) {
-  // Root the in-flight values while primitive steps may allocate.
   for (;;) {
-    if (!Callee.isClosure()) {
-      Core.closeArenas(Arenas, nullptr);
+    if (!Callee.isClosure())
       return Core.error("applied a non-function value");
-    }
     RtClosure *Closure = Callee.closure();
     ++Core.Stats.Applications;
 
     if (Closure->IsPrim) {
-      unsigned Arity = primOpArity(Closure->Op);
-      size_t Have = Closure->Partial.size();
-      if (Have + Args.size() < Arity) {
-        RtClosure *Next = Core.newClosure();
-        Next->IsPrim = true;
-        Next->Op = Closure->Op;
-        Next->PrimNodeId = Closure->PrimNodeId;
-        Next->Partial = Closure->Partial;
-        Next->Partial.insert(Next->Partial.end(), Args.begin(), Args.end());
-        assert(Arenas.empty() &&
-               "arena directive on a call whose callee is partial");
-        Stack.push_back(RtValue::makeClosure(Next));
-        return true;
-      }
-      size_t Need = Arity - Have;
-      std::vector<RtValue> Full = Closure->Partial;
-      Full.insert(Full.end(), Args.begin(), Args.begin() + Need);
-      // Root the leftovers across the (possibly allocating) primitive.
+      // Root the in-flight values across the (possibly allocating)
+      // primitive: the closure roots its partial arguments.
       size_t Mark = Stack.size();
-      for (size_t I = Need; I != Args.size(); ++I)
-        Stack.push_back(Args[I]);
-      for (RtValue V : Full)
-        Stack.push_back(V);
-      std::optional<RtValue> R =
-          evalSaturatedPrim(Closure->Op, Closure->PrimNodeId, Full,
-                            Core.Hooks);
+      Stack.push_back(Callee);
+      Stack.insert(Stack.end(), Args.begin(), Args.end());
+      size_t Consumed = 0;
+      std::optional<RtValue> R = Core.applyPrim(*Closure, Args, Consumed);
       Stack.resize(Mark);
-      if (!R) {
-        Core.closeArenas(Arenas, nullptr);
+      if (!R)
         return false;
-      }
-      Args.erase(Args.begin(), Args.begin() + Need);
+      Args.erase(Args.begin(), Args.begin() + Consumed);
       if (Args.empty()) {
-        if (!Core.closeArenas(Arenas, &*R))
+        if (!Core.closeArenas(Arenas, *R))
           return false;
         Stack.push_back(*R);
         return true;
@@ -410,7 +386,7 @@ bool Vm::doReturn() {
   if (Prof) [[unlikely]]
     Prof->framePopped();
   Stack.resize(Finished.StackBase);
-  if (!Core.closeArenas(Finished.Arenas, &Result))
+  if (!Core.closeArenas(Finished.Arenas, Result))
     return false;
   if (!Finished.Pending.empty())
     return applyValue(Result, std::move(Finished.Pending), {});
@@ -674,12 +650,11 @@ std::optional<RtValue> Vm::run() {
 
 run_done:
   Core.Stats.Steps = Steps;
-  if (Prof)
-    Prof->finish();
-  if (Core.Failed || Stack.empty())
-    return std::nullopt;
-  RtValue Result = Stack.back();
+  std::optional<RtValue> Result;
+  if (!Stack.empty())
+    Result = Stack.back();
   Stack.clear();
   Frames.clear();
-  return Result;
+  PendingArenas.clear();
+  return Core.endRun(Result);
 }

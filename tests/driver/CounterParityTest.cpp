@@ -88,6 +88,38 @@ TEST(CounterParityTest, EnginesAgreeWithReuse) { expectParity(true); }
 
 TEST(CounterParityTest, EnginesAgreeWithoutReuse) { expectParity(false); }
 
+/// bad's argument arena is open when car nil fails, at the same program
+/// point on both engines; \p Arg is stack-allocated (a literal) or
+/// region-allocated (build's output).
+std::string failingProgram(const char *Arg) {
+  return std::string(
+             "letrec\n"
+             "  build n = if n = 0 then nil else cons n (build (n - 1));\n"
+             "  bad l = if null l then car nil else 1 + bad (cdr l)\n"
+             "in bad ") +
+         Arg + "\n";
+}
+
+TEST(CounterParityTest, FailedRunsFreeTheSameArenas) {
+  for (const char *Arg : {"[1, 2, 3]", "(build 3)"}) {
+    PipelineResult Tree = runPipeline(
+        failingProgram(Arg), engineOptions(ExecutionEngine::TreeWalker, true));
+    PipelineResult Byte = runPipeline(
+        failingProgram(Arg), engineOptions(ExecutionEngine::Bytecode, true));
+    EXPECT_FALSE(Tree.Success);
+    EXPECT_FALSE(Byte.Success);
+    EXPECT_EQ(Tree.Stats.StackArenaFrees + Tree.Stats.RegionBulkFrees, 1u)
+        << Arg;
+    EXPECT_EQ(Tree.Stats.StackCellsFreed + Tree.Stats.RegionCellsFreed, 3u)
+        << Arg;
+    EXPECT_EQ(Tree.Stats.StackArenaFrees, Byte.Stats.StackArenaFrees) << Arg;
+    EXPECT_EQ(Tree.Stats.StackCellsFreed, Byte.Stats.StackCellsFreed) << Arg;
+    EXPECT_EQ(Tree.Stats.RegionBulkFrees, Byte.Stats.RegionBulkFrees) << Arg;
+    EXPECT_EQ(Tree.Stats.RegionCellsFreed, Byte.Stats.RegionCellsFreed)
+        << Arg;
+  }
+}
+
 TEST(CounterParityTest, RenderedCountersMatch) {
   PipelineResult Tree = runPipeline(
       sortProgram(), engineOptions(ExecutionEngine::TreeWalker, true));

@@ -12,11 +12,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "lang/AstUtils.h"
 #include "prof/ProfileReport.h"
 #include "prof/Profiler.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -372,6 +374,47 @@ TEST(ProfileReport, DconsSitesReportAsReuse) {
   for (const prof::ProfileReport::Site &S : Report.sites())
     SawLintWhy |= S.Planned == "heap" && S.Why.rfind("[EAL-O", 0) == 0;
   EXPECT_TRUE(SawLintWhy);
+}
+
+TEST(ProfileReport, DconsSitesCiteTheirOwnReuseVersion) {
+  prof::Profiler TreeP;
+  PipelineResult R =
+      profiledRun(ExecutionEngine::TreeWalker, TreeP, /*EnableReuse=*/true);
+  ASSERT_TRUE(R.Optimized && R.Prov);
+  prof::ProfileReport Report(*R.Ast, *R.SM, R.Optimized->Root,
+                             R.Optimized->Plan, R.Optimized->Reuse,
+                             R.Check ? &R.Check->Findings : nullptr, {});
+
+  // DCONS site id -> the top-level binding whose body holds it.
+  std::map<uint32_t, std::string> Enclosing;
+  const auto *Letrec = dyn_cast<LetrecExpr>(R.Optimized->Root);
+  ASSERT_NE(Letrec, nullptr);
+  for (const LetrecBinding &B : Letrec->bindings())
+    forEachAllocSite(B.Value, [&](const Expr *E, PrimOp Op) {
+      if (Op == PrimOp::DCons)
+        Enclosing.emplace(E->id(), std::string(R.Ast->spelling(B.Name)));
+    });
+
+  std::set<std::string> Cited;
+  for (const prof::ProfileReport::Site &S : Report.sites()) {
+    if (S.Planned != "reuse")
+      continue;
+    ASSERT_TRUE(Enclosing.count(S.Id)) << "site " << S.Id;
+    const std::string &Binding = Enclosing[S.Id];
+    ASSERT_NE(S.Prov, explain::NoFact) << Binding;
+    EXPECT_EQ(R.Prov->fact(S.Prov).Label.rfind("reuse version " + Binding +
+                                                   " of ",
+                                               0),
+              0u)
+        << "site in " << Binding << " cites '" << R.Prov->fact(S.Prov).Label
+        << "'";
+    EXPECT_NE(S.Why.find("reuse version: " + Binding + " "),
+              std::string::npos)
+        << S.Why;
+    Cited.insert(Binding);
+  }
+  // The sort's DCONS sites span several versions (append', split', ps').
+  EXPECT_GE(Cited.size(), 2u);
 }
 
 } // namespace

@@ -11,7 +11,8 @@
 // deopt) and over generated programs. The liveness oracle needs only
 // births and touches, so it must produce the same report on either
 // engine. Both engines open and free arenas by one protocol, so a
-// replayed --record stream counts the same arena events on both.
+// replayed --record stream counts the same arena events on both, also
+// when the run fails: a failed run frees every arena it opened.
 //
 //===----------------------------------------------------------------------===//
 
@@ -164,12 +165,19 @@ TEST(ChannelParity, LiveOracleAgreesAcrossEnginesOnEveryExample) {
   }
 }
 
+/// The arena counts of one replayed recording: opens, frees, stack cells
+/// freed and region cells freed.
+using ArenaCounts = std::array<uint64_t, 4>;
+
 /// Runs \p Options on both engines, each with a --record stream that
 /// obs::rec::Timeline replays (as `eal timeline` does), and checks that
 /// the two opened and freed the same arenas holding the same cells.
-void expectArenaParity(const std::string &Source, PipelineOptions Options,
-                       const std::string &Label) {
-  std::array<uint64_t, 4> Arenas[2];
+/// \p Succeeds says whether the run ends in a value or in a runtime
+/// error. Returns the tree-walker's counts.
+ArenaCounts expectArenaParity(const std::string &Source,
+                              PipelineOptions Options,
+                              const std::string &Label, bool Succeeds = true) {
+  ArenaCounts Arenas[2];
   for (int I = 0; I != 2; ++I) {
     Options.Engine =
         I ? ExecutionEngine::Bytecode : ExecutionEngine::TreeWalker;
@@ -179,7 +187,7 @@ void expectArenaParity(const std::string &Source, PipelineOptions Options,
         testing::UnitTest::GetInstance()->current_test_info()->name() +
         ".rec";
     PipelineResult R = runPipeline(Source, Options);
-    EXPECT_TRUE(R.Success) << Label << ":\n" << R.diagnostics();
+    EXPECT_EQ(R.Success, Succeeds) << Label << ":\n" << R.diagnostics();
     obs::rec::Timeline T;
     std::string Err;
     EXPECT_TRUE(T.load(Options.Obs.RecordPath, &Err)) << Label << ": " << Err;
@@ -191,6 +199,7 @@ void expectArenaParity(const std::string &Source, PipelineOptions Options,
       << "ENGINES DISAGREE ON ARENA EVENTS (opens, frees, stack cells, "
          "region cells): "
       << Label;
+  return Arenas[0];
 }
 
 TEST(ChannelParity, ArenaEventsAgreeAcrossEnginesOnEveryExample) {
@@ -223,6 +232,26 @@ TEST(ChannelParity, DeoptedProgramOpensTheSameArenasOnBothEngines) {
   Options.Spec.Enable = true;
   Options.Spec.Inject.All = true;
   expectArenaParity(Source, Options, "deopted keep");
+}
+
+TEST(ChannelParity, FailedRunFreesEveryArenaOnBothEngines) {
+  // bad's argument arena is open when car nil fails: the same primitive
+  // error at the same program point on both engines. A literal list is
+  // stack-allocated; build's output is region-allocated.
+  auto Failing = [](const char *Arg) {
+    return std::string(
+               "letrec\n"
+               "  build n = if n = 0 then nil else cons n (build (n - 1));\n"
+               "  bad l = if null l then car nil else 1 + bad (cdr l)\n"
+               "in bad ") +
+           Arg + "\n";
+  };
+  EXPECT_EQ(expectArenaParity(Failing("[1, 2, 3]"), PipelineOptions(),
+                              "stack bad", /*Succeeds=*/false),
+            (ArenaCounts{1, 1, 3, 0}));
+  EXPECT_EQ(expectArenaParity(Failing("(build 3)"), PipelineOptions(),
+                              "region bad", /*Succeeds=*/false),
+            (ArenaCounts{1, 1, 0, 3}));
 }
 
 class ChannelParitySeeds : public ::testing::TestWithParam<uint32_t> {};

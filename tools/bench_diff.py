@@ -17,8 +17,6 @@ Options:
   --min-seconds S        noise floor: records whose baseline time is
                          below S seconds are reported but never gate
                          (default 0.005; container timers are coarse)
-  --strict-counters      fail (not just report) when a storage counter
-                         drifted between the two reports
   --max-overhead R       --overhead gate threshold (default 0.02)
 
 --overhead mode gates the flight recorder's self-measurement
@@ -36,10 +34,9 @@ pipeline, one shot) is the fallback and is noisier -- set a generous
 A record present in BASELINE but missing from CURRENT fails the diff (a
 silently dropped configuration is how regressions hide); a record only
 in CURRENT is reported as new and does not gate.  Counter drift (storage
-counters changing between same-named records) is reported and gates only
-under --strict-counters: counters are deterministic for a given binary,
-so drift means behavior changed -- often intentionally, which is why the
-default is report-only.
+counters changing between same-named records) always gates: counters are
+deterministic for a given binary, so drift means behavior changed.  An
+intended change refreshes the baseline (docs/PROFILING.md).
 
 Exit status: 0 when no gated regression, 1 otherwise, 2 on usage error.
 
@@ -94,8 +91,7 @@ def record_seconds(record):
     return None, None
 
 
-def diff_reports(baseline, current, max_regress, min_seconds,
-                 strict_counters, out=None):
+def diff_reports(baseline, current, max_regress, min_seconds, out=None):
     """Returns a list of failure strings; prints a per-record report."""
     # Late-bound so contextlib.redirect_stdout (self-test) is honored.
     out = out if out is not None else sys.stdout
@@ -146,18 +142,15 @@ def diff_reports(baseline, current, max_regress, min_seconds,
             if isinstance(b, int) and isinstance(c, int) and b != c:
                 message = ("record %r: counter %s drifted %d -> %d"
                            % (name, key, b, c))
-                out.write("%s %s\n"
-                          % ("FAIL" if strict_counters else "note", message))
-                if strict_counters:
-                    failures.append(message)
+                out.write("FAIL %s\n" % message)
+                failures.append(message)
 
     for name in sorted(set(current) - set(baseline)):
         out.write("new  %s (not in baseline, not gated)\n" % name)
     return failures
 
 
-def run_diff(baseline_path, current_path, max_regress, min_seconds,
-             strict_counters):
+def run_diff(baseline_path, current_path, max_regress, min_seconds):
     errors = []
     baseline = load_report(baseline_path, errors)
     current = load_report(current_path, errors)
@@ -165,8 +158,7 @@ def run_diff(baseline_path, current_path, max_regress, min_seconds,
         print("FAIL %s" % e)
     if baseline is None or current is None:
         return 1
-    failures = diff_reports(baseline, current, max_regress, min_seconds,
-                            strict_counters)
+    failures = diff_reports(baseline, current, max_regress, min_seconds)
     for f in failures:
         print("FAIL %s" % f)
     if not failures:
@@ -259,16 +251,11 @@ def self_test():
         ("wall time is the fallback",
          report([record("a", None, wall=0.100)]),
          report([record("a", None, wall=0.200)]), [], False),
-        ("counter drift reports but passes by default",
+        ("counter drift fails",
          base,
          report([record("a", 0.100,
                         counters={"heap_cells_allocated": 11, "gc_runs": 1}),
-                 record("b", 0.100)]), [], True),
-        ("counter drift fails under --strict-counters",
-         base,
-         report([record("a", 0.100,
-                        counters={"heap_cells_allocated": 11, "gc_runs": 1}),
-                 record("b", 0.100)]), ["--strict-counters"], False),
+                 record("b", 0.100)]), [], False),
         ("tighter threshold gates a 5% regression",
          base, report([record("a", 0.105), record("b", 0.100)]),
          ["--max-time-regress", "0.01"], False),
@@ -343,7 +330,6 @@ def main(argv, quiet=False):
     max_regress = 0.10
     min_seconds = 0.005
     max_overhead = 0.02
-    strict_counters = False
     overhead = False
     paths = []
     i = 0
@@ -361,9 +347,6 @@ def main(argv, quiet=False):
         elif arg == "--overhead":
             overhead = True
             i += 1
-        elif arg == "--strict-counters":
-            strict_counters = True
-            i += 1
         elif arg.startswith("-"):
             print(__doc__)
             return 2
@@ -377,8 +360,7 @@ def main(argv, quiet=False):
     def run():
         if overhead:
             return run_overhead(paths[0], max_overhead, min_seconds)
-        return run_diff(paths[0], paths[1], max_regress, min_seconds,
-                        strict_counters)
+        return run_diff(paths[0], paths[1], max_regress, min_seconds)
 
     if quiet:
         import io

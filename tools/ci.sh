@@ -25,7 +25,7 @@
 # BENCH_*.json against the checked-in baseline under bench/baselines/,
 # failing on execute-time regressions past EAL_BENCH_MAX_REGRESS
 # (default +10%; see docs/PROFILING.md) and on any storage-counter
-# drift (--strict-counters). The same gate holds the flight
+# drift. The same gate holds the flight
 # recorder to its always-on budget: bench_engines self-measures execute
 # time with the lite tier on vs off and bench_diff.py --overhead fails
 # past EAL_BENCH_MAX_OVERHEAD (default +2%; docs/RECORDER.md). Usage:
@@ -257,7 +257,7 @@ bench_gate() {
     fi
     python3 "$REPO/tools/bench_diff.py" \
         "$REPO/bench/baselines/$json" "$archive/$json" \
-        --max-time-regress "$BENCH_MAX_REGRESS" --strict-counters
+        --max-time-regress "$BENCH_MAX_REGRESS"
   done
   # Recorder overhead budget: bench_engines self-measures execute time
   # with the lite event tier on vs off (obs_overhead/* records); the
