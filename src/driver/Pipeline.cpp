@@ -15,6 +15,7 @@
 #include "prof/Profiler.h"
 #include "runtime/ValuePrinter.h"
 #include "spec/SpecPlanner.h"
+#include "support/LargeStack.h"
 #include "support/Metrics.h"
 
 #include <fstream>
@@ -190,7 +191,6 @@ void runPipelineImpl(const std::string &Source,
 
   ExecutionEngine Engine = Options.Engine;
   Interpreter::Options RunOpts = Options.Run;
-  prof::Profiler *Profile = RunOpts.Profiler = Options.Obs.Profile;
 
   if (Options.Spec.Enable) {
     // Profiling pre-run (tree-walker: the branch hooks live there). nml
@@ -213,7 +213,7 @@ void runPipelineImpl(const std::string &Source,
       PreOpts.Spec = &Branches;
       Interpreter Pre(*R.Ast, FinalTyped, &R.Optimized->Plan,
                       PreDiags, PreOpts);
-      PreValue = Options.UseLargeStack ? Pre.runOnLargeStack() : Pre.run();
+      PreValue = Pre.run();
       T.span().arg("branches",
                    static_cast<uint64_t>(Branches.numBranchesSeen()));
     }
@@ -262,7 +262,7 @@ void runPipelineImpl(const std::string &Source,
   R.Observers->add(RunOpts.Observer);
   R.Observers->add(R.Oracle.get());
   R.Observers->add(R.LiveOracle.get());
-  R.Observers->add(Profile);
+  R.Observers->add(RunOpts.Profiler);
   if (obs::rec::on() && obs::rec::streaming())
     R.Observers->add(&cellRecorder());
   RunOpts.Observer = R.Observers->get();
@@ -304,8 +304,7 @@ void runPipelineImpl(const std::string &Source,
         R.Value = R.TheVm->run();
         R.Stats = R.TheVm->stats();
       } else {
-        R.Value = Options.UseLargeStack ? R.Interp->runOnLargeStack()
-                                        : R.Interp->run();
+        R.Value = R.Interp->run();
         R.Stats = R.Interp->stats();
       }
       Run.span().arg("steps", R.Stats.Steps);
@@ -369,7 +368,10 @@ PipelineResult eal::runPipeline(const std::string &Source,
                                             ? "bytecode"
                                             : "tree-walker"));
 
-  runPipelineImpl(Source, Options, R);
+  if (Options.UseLargeStack)
+    runOnLargeStack([&] { runPipelineImpl(Source, Options, R); });
+  else
+    runPipelineImpl(Source, Options, R);
 
   obs::rec::emit(obs::rec::RecKind::RunEnd, R.Success ? 1 : 0);
   if (obs::rec::on())

@@ -44,10 +44,6 @@
 
 namespace eal {
 
-namespace prof {
-class Profiler;
-}
-
 /// Which engine executes the final program.
 enum class ExecutionEngine {
   /// The recursive tree-walking interpreter (default).
@@ -83,10 +79,6 @@ struct ObservabilityOptions {
   /// the first failure trigger (oracle refutation, liveness refutation,
   /// spec deopt, failed run, SIGABRT). Empty leaves dumping disarmed.
   std::string RecDumpPath;
-  /// Allocation-site & hot-path profiler (docs/PROFILING.md), not
-  /// owned; routed into whichever engine executes the program. Null
-  /// disables profiling.
-  prof::Profiler *Profile = nullptr;
 };
 
 /// Pipeline configuration.
@@ -107,10 +99,11 @@ struct PipelineOptions {
   bool CompileBytecode = false;
   /// Which engine runs it.
   ExecutionEngine Engine = ExecutionEngine::TreeWalker;
-  /// Engine knobs (heap size, fuel, arena validation). The profiler
-  /// comes from Obs.Profile; Run.Profiler is overwritten.
+  /// Engine knobs (heap size, fuel, arena validation, the profiler of
+  /// docs/PROFILING.md, which also observes the run's cell events).
   Interpreter::Options Run;
-  /// Execute on a dedicated big-stack thread (deep recursion needs it).
+  /// Run the whole pipeline on a 512 MB stack: every pass recurses as
+  /// deep as its input nests (support/LargeStack.h).
   bool UseLargeStack = true;
   /// Run the static lints and, once optimization finishes, the
   /// per-allocation "why is this still on the GC heap" explanations.
@@ -162,7 +155,7 @@ struct PipelineOptions {
     spec::SpecInjection Inject;
   };
   SpeculationOptions Spec;
-  /// Tracing / stats export / profiler routing.
+  /// Tracing, stats export and the flight recorder.
   ObservabilityOptions Obs;
 };
 

@@ -8,7 +8,7 @@
 // Layout of this file:
 //   - the ring pool: one EventRing per concurrently-emitting thread,
 //     acquired on first emit and released (for reuse) at thread exit so
-//     256 sequential big-stack execution threads share one ring;
+//     256 sequential short-lived threads share one ring;
 //   - the string interner feeding 16-bit name ids into events;
 //   - the eal-rec-v1 writer (NDJSON and binary, docs/RECORDER.md);
 //   - the streaming drain thread (--record=FILE);

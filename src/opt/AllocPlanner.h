@@ -112,6 +112,18 @@ struct AllocationPlan {
     for (const ArgArenaDirective &D : Directives)
       ByCall[D.CallAppId].push_back(&D);
   }
+
+  /// The directive for argument \p ArgIndex of the call whose outermost
+  /// AppExpr is \p CallAppId, or null when that argument has none.
+  const ArgArenaDirective *directiveFor(uint32_t CallAppId,
+                                        size_t ArgIndex) const {
+    auto It = ByCall.find(CallAppId);
+    if (It != ByCall.end())
+      for (const ArgArenaDirective *D : It->second)
+        if (D->ArgIndex == ArgIndex)
+          return D;
+    return nullptr;
+  }
 };
 
 /// Options controlling what the planner emits.

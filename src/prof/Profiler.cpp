@@ -7,10 +7,6 @@
 
 #include "prof/Profiler.h"
 
-#include "lang/Ast.h"
-
-#include <cassert>
-
 namespace eal::prof {
 
 //===----------------------------------------------------------------------===//
@@ -19,33 +15,6 @@ namespace eal::prof {
 
 StackTree::StackTree() {
   Nodes.push_back(Node{RootKey, 0, 0, {}});
-}
-
-uint32_t StackTree::childOf(uint32_t NodeIdx, uint32_t Key) {
-  auto It = Nodes[NodeIdx].Children.find(Key);
-  if (It != Nodes[NodeIdx].Children.end())
-    return It->second;
-  uint32_t New = static_cast<uint32_t>(Nodes.size());
-  Nodes.push_back(Node{Key, NodeIdx, 0, {}});
-  Nodes[NodeIdx].Children.emplace(Key, New);
-  return New;
-}
-
-void StackTree::push(uint32_t Key) { Cur = childOf(Cur, Key); }
-
-void StackTree::replace(uint32_t Key) {
-  // Replacing the root would corrupt the tree; a tail call with an empty
-  // activation stack cannot happen in either engine, but stay safe.
-  if (Cur == 0) {
-    push(Key);
-    return;
-  }
-  Cur = childOf(Nodes[Cur].Parent, Key);
-}
-
-void StackTree::pop() {
-  if (Cur != 0)
-    Cur = Nodes[Cur].Parent;
 }
 
 size_t StackTree::depth() const {
@@ -134,18 +103,6 @@ void Profiler::cellReused(const ConsCell *Cell, uint32_t SiteId,
 
 void Profiler::cellMigrated(const ConsCell *Cell) {
   ++Sites[baseSiteId(Cell->SiteId)].Migrated;
-}
-
-void Profiler::activationEntered(const LambdaExpr *Fn, const AppExpr *,
-                                 std::span<const RtValue>) {
-  syncStepClock();
-  framePushed(Fn->id());
-}
-
-bool Profiler::activationExited(const RtValue *) {
-  syncStepClock();
-  framePopped();
-  return true;
 }
 
 void Profiler::beginVm(size_t NumProtos, size_t NumOpcodes) {

@@ -21,21 +21,22 @@
 ///    stack/region/reuse claims actually fired.
 ///
 ///  * **Hot path.** An exact (not sampled) calling-context tree for
-///    either engine, weighted by interpreter steps / VM instructions,
-///    exportable as collapsed stacks (the `folded` flamegraph format);
-///    for the VM additionally exact per-opcode and per-proto dispatch
-///    counters. Both engines take the profiler as
-///    EngineOptions::Profiler and finish it when their run ends. The
-///    tree-walker sets the step clock and feeds the tree through the
-///    channel's activation events; the VM calls the frame and dispatch
-///    hooks directly.
+///    either engine, weighted by RuntimeStats::Steps (evaluated
+///    expressions on the tree-walker, dispatched instructions on the VM)
+///    and exportable as collapsed stacks (the `folded` flamegraph
+///    format); for the VM additionally exact per-opcode and per-proto
+///    dispatch counters. Both engines take the profiler as
+///    EngineOptions::Profiler. Their one feed of the tree is the runtime
+///    core (runtime/EngineCore.h): its frame events and the end of the
+///    run, each stamped with Steps. The VM also counts its dispatches
+///    here.
 ///
 /// Dependency direction: the profiler depends on the runtime's observer
-/// interface. The tree-walker (in the runtime library) calls only the
-/// header-only setStepClock and finish. Keys are plain uint32 ids (AST
-/// node ids in the tree-walker, proto indices in the VM) that callers
-/// resolve to names at export time; the report builder
-/// (ProfileReport.h) links against the world.
+/// interface. The runtime core calls only the header-only frame hooks
+/// and finish. Keys are plain uint32 ids (lambda node ids in the
+/// tree-walker, proto indices in the VM) that callers resolve to names
+/// at export time; the report builder (ProfileReport.h) links against
+/// the world.
 ///
 /// One caveat worth stating once: a DCONS overwrite re-tags the cell
 /// with the dcons site but does *not* restamp ConsCell::AllocSeq (the
@@ -110,12 +111,24 @@ public:
 
   StackTree();
 
-  void push(uint32_t Key);
+  void push(uint32_t Key) { Cur = childOf(Cur, Key); }
   /// Tail call: the current node's frame is replaced, so the new key
   /// becomes a *sibling* (child of the current node's parent), exactly
   /// matching the engine's O(1)-frame semantics.
-  void replace(uint32_t Key);
-  void pop();
+  void replace(uint32_t Key) {
+    // Replacing the root would corrupt the tree; a tail call with an
+    // empty activation stack cannot happen in either engine, but stay
+    // safe.
+    if (Cur == 0) {
+      push(Key);
+      return;
+    }
+    Cur = childOf(Nodes[Cur].Parent, Key);
+  }
+  void pop() {
+    if (Cur != 0)
+      Cur = Nodes[Cur].Parent;
+  }
   /// Charges Now - (last attributed clock) to the current node.
   void attribute(uint64_t Now) {
     if (Now > Last) {
@@ -129,6 +142,8 @@ public:
     attribute(Now);
     Cur = 0;
   }
+  /// The clock of the last attribution.
+  uint64_t clock() const { return Last; }
 
   size_t depth() const;
   size_t nodeCount() const { return Nodes.size(); }
@@ -152,7 +167,15 @@ private:
     std::unordered_map<uint32_t, uint32_t> Children; ///< key -> node index
   };
 
-  uint32_t childOf(uint32_t NodeIdx, uint32_t Key);
+  uint32_t childOf(uint32_t NodeIdx, uint32_t Key) {
+    auto It = Nodes[NodeIdx].Children.find(Key);
+    if (It != Nodes[NodeIdx].Children.end())
+      return It->second;
+    uint32_t New = static_cast<uint32_t>(Nodes.size());
+    Nodes.push_back(Node{Key, NodeIdx, 0, {}});
+    Nodes[NodeIdx].Children.emplace(Key, New);
+    return New;
+  }
 
   std::vector<Node> Nodes;
   uint32_t Cur = 0;
@@ -182,43 +205,31 @@ public:
   /// Looks a site up without creating it (null when never seen).
   const SiteCounters *site(uint32_t Id) const;
 
-  //===--- Hot path: activation transitions ------------------------------==//
+  //===--- Hot path: frame events ----------------------------------------==//
   //
-  // The tree-walker's weight unit is RuntimeStats::Steps: setStepClock
-  // points the profiler at the engine's counter, read at every
-  // activation event and at finish(). The VM advances the clock one tick
-  // per dispatched instruction via countVmStep.
+  // Fed only by the runtime core (runtime/EngineCore.h). \p Now is the
+  // engine's RuntimeStats::Steps: each event first charges the steps
+  // since the previous one to the frame the cursor is on.
 
-  void setStepClock(const uint64_t *Steps) { StepClock = Steps; }
-  uint64_t clock() const { return Ticks; }
-
-  /// Tree-walker activations drive the calling-context tree.
-  void activationEntered(const LambdaExpr *Fn, const AppExpr *CallSite,
-                         std::span<const RtValue> Args) override;
-  bool activationExited(const RtValue *Result) override;
-
-  void framePushed(uint32_t Key) {
-    Tree.attribute(Ticks);
+  void framePushed(uint32_t Key, uint64_t Now) {
+    Tree.attribute(Now);
     Tree.push(Key);
     ++CallsByKey[Key];
   }
-  void frameReplaced(uint32_t Key) {
-    Tree.attribute(Ticks);
+  void frameReplaced(uint32_t Key, uint64_t Now) {
+    Tree.attribute(Now);
     Tree.replace(Key);
     ++CallsByKey[Key];
   }
-  void framePopped() {
-    Tree.attribute(Ticks);
+  void framePopped(uint64_t Now) {
+    Tree.attribute(Now);
     Tree.pop();
   }
   /// End of run: attribute the tail and unwind (frames abandoned by a
-  /// runtime error included). Reads the step clock a last time and
-  /// detaches it, so the profile outlives the engine.
-  void finish() {
-    syncStepClock();
-    StepClock = nullptr;
-    Tree.finish(Ticks);
-  }
+  /// runtime error included).
+  void finish(uint64_t Now) { Tree.finish(Now); }
+  /// The clock of the last event: RuntimeStats::Steps once the run ended.
+  uint64_t clock() const { return Tree.clock(); }
 
   const StackTree &stacks() const { return Tree; }
   const std::unordered_map<uint32_t, uint64_t> &calls() const {
@@ -233,7 +244,6 @@ public:
   bool vmProfile() const { return !OpcodeCounts.empty(); }
 
   void countVmStep(uint8_t Op, uint32_t ProtoIdx) {
-    ++Ticks;
     ++OpcodeCounts[Op];
     ++ProtoInstrs[ProtoIdx];
   }
@@ -242,16 +252,9 @@ public:
   const std::vector<uint64_t> &protoInstrs() const { return ProtoInstrs; }
 
 private:
-  void syncStepClock() {
-    if (StepClock)
-      Ticks = *StepClock;
-  }
-
   std::unordered_map<uint32_t, SiteCounters> Sites;
 
   StackTree Tree;
-  uint64_t Ticks = 0;
-  const uint64_t *StepClock = nullptr;
   std::unordered_map<uint32_t, uint64_t> CallsByKey;
 
   std::vector<uint64_t> OpcodeCounts; ///< sized by beginVm (VM runs only)

@@ -7,7 +7,6 @@
 
 #include "runtime/EngineCore.h"
 
-#include "prof/Profiler.h"
 #include "runtime/SpecHooks.h"
 #include "support/Diagnostics.h"
 
@@ -167,7 +166,7 @@ std::optional<RtValue> EngineCore::endRun(std::optional<RtValue> Result) {
       release(Handle, /*Validate=*/false);
   ArenaStack.clear();
   if (Opts.Profiler)
-    Opts.Profiler->finish();
+    Opts.Profiler->finish(Stats.Steps);
   if (Failed)
     return std::nullopt;
   return Result;

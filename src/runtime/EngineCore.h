@@ -22,8 +22,11 @@
 ///    spec runtime sees each close first, then validation runs with the
 ///    result rooted, then the arena is freed.
 ///
-/// It also applies primitive closures, and ends every run (endRun), which
-/// releases a failed run's arenas in one place.
+/// It also applies primitive closures, reports every activation frame
+/// (enterFrame, replaceFrame, leaveFrame) and ends every run (endRun),
+/// which releases a failed run's arenas in one place. The frame events
+/// and the end of the run are the profiler's one calling-context feed on
+/// both engines, with one clock: RuntimeStats::Steps.
 ///
 /// Each engine keeps only its evaluator, its root scanner and its
 /// diagnostic text.
@@ -34,6 +37,7 @@
 #define EAL_RUNTIME_ENGINECORE_H
 
 #include "opt/AllocPlanner.h"
+#include "prof/Profiler.h"
 #include "runtime/Frame.h"
 #include "runtime/Heap.h"
 #include "runtime/PrimOps.h"
@@ -51,10 +55,6 @@ namespace eal {
 class DiagnosticEngine;
 class SpecHooks;
 
-namespace prof {
-class Profiler;
-}
-
 /// The options of either engine (Interpreter::Options, Vm::Options).
 struct EngineOptions {
   /// Initial heap capacity in cells.
@@ -70,9 +70,9 @@ struct EngineOptions {
   /// (runtime/ExecutionObserver.h), not owned. Null disables them.
   ExecutionObserver *Observer = nullptr;
   /// Hot-path profiler (prof/Profiler.h), not owned. Null disables
-  /// profiling. Its site counters are fed through Observer; the engine
-  /// drives its calling-context tree and finishes it at the end of the
-  /// run (docs/PROFILING.md).
+  /// profiling. Its site counters are fed through Observer; the core's
+  /// frame events drive its calling-context tree, and endRun finishes
+  /// it (docs/PROFILING.md).
   prof::Profiler *Profiler = nullptr;
   /// Speculative-tier hooks (runtime/SpecHooks.h), not owned. While
   /// set, speculative directives (SpecIndex >= 0) are honored only while
@@ -137,6 +137,28 @@ public:
   /// their arenas for endRun to release.
   bool closeArenas(std::vector<size_t> &Arenas, RtValue Result) {
     return Arenas.empty() || close(Arenas, Result);
+  }
+
+  //===--- Frame events ----------------------------------------------------==//
+  //
+  // Each charges the steps counted since the previous event
+  // (RuntimeStats::Steps) to the profiler's current frame. Keys are
+  // lambda node ids on the tree-walker and proto indices on the VM.
+
+  /// An activation keyed \p Key begins.
+  void enterFrame(uint32_t Key) {
+    if (Opts.Profiler) [[unlikely]]
+      Opts.Profiler->framePushed(Key, Stats.Steps);
+  }
+  /// A tail call replaces the current activation by one keyed \p Key.
+  void replaceFrame(uint32_t Key) {
+    if (Opts.Profiler) [[unlikely]]
+      Opts.Profiler->frameReplaced(Key, Stats.Steps);
+  }
+  /// The current activation ends.
+  void leaveFrame() {
+    if (Opts.Profiler) [[unlikely]]
+      Opts.Profiler->framePopped(Stats.Steps);
   }
 
   /// Ends a run of either engine with \p Result. After a failure it

@@ -7,16 +7,14 @@
 
 #include "runtime/Interpreter.h"
 
-#include "prof/Profiler.h"
 #include "runtime/ExecutionObserver.h"
 #include "runtime/SpecHooks.h"
 #include "runtime/ValuePrinter.h"
+#include "support/LargeStack.h"
 
 #include "lang/AstUtils.h"
 
 #include <cassert>
-#include <pthread.h>
-#include <sstream>
 
 using namespace eal;
 
@@ -155,7 +153,9 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
         Obs->activationEntered(C->Lambda, DirectCallee ? Call : nullptr,
                                std::span<const RtValue>(Args).subspan(
                                    FirstArg, Idx - FirstArg));
+      Core.enterFrame(C->Lambda->id());
       R = eval(Body, Frame);
+      Core.leaveFrame();
       // The exit hook runs before closeArenas so arena cells are still
       // inspectable, and inside the FrameGuard so the frame roots them.
       if (Obs && !Obs->activationExited(R ? &*R : nullptr) && R) {
@@ -209,25 +209,12 @@ std::optional<RtValue> Interpreter::evalCallSpine(const AppExpr *Call,
     return std::nullopt;
   Rooted.push(*CalleeVal);
 
-  // Arena directives for this call, if any.
-  const std::vector<const ArgArenaDirective *> *Directives = nullptr;
-  if (Plan) {
-    auto It = Plan->ByCall.find(Call->id());
-    if (It != Plan->ByCall.end())
-      Directives = &It->second;
-  }
-
   std::vector<RtValue> Args;
   std::vector<size_t> Arenas;
   Args.reserve(ArgExprs.size());
   for (size_t I = 0; I != ArgExprs.size(); ++I) {
-    const ArgArenaDirective *D = nullptr;
-    if (Directives)
-      for (const ArgArenaDirective *Cand : *Directives)
-        if (Cand->ArgIndex == I) {
-          D = Cand;
-          break;
-        }
+    const ArgArenaDirective *D =
+        Plan ? Plan->directiveFor(Call->id(), I) : nullptr;
     if (D)
       Core.enterArena(D);
     std::optional<RtValue> V = eval(ArgExprs[I], Env);
@@ -351,9 +338,6 @@ std::optional<RtValue> Interpreter::run() {
   Core.Failed = false;
   EnvPtr Root = std::make_shared<EnvFrame>();
   FrameGuard Active(ActiveFrames, Root.get());
-  // The profile's weight unit is RuntimeStats::Steps (prof/Profiler.h).
-  if (Core.Opts.Profiler)
-    Core.Opts.Profiler->setStepClock(&Core.Stats.Steps);
   return Core.endRun(eval(Program.root(), Root));
 }
 
@@ -394,49 +378,10 @@ Interpreter::callBinding(Symbol Fn, std::span<const Expr *const> Args,
       applyValues(*FnSlot, Values, std::vector<size_t>(), nullptr));
 }
 
-namespace {
-
-struct ThreadRun {
-  Interpreter *I;
+std::optional<RtValue> Interpreter::runOnLargeStack() {
   std::optional<RtValue> Result;
-};
-
-void *runTrampoline(void *Arg) {
-  auto *TR = static_cast<ThreadRun *>(Arg);
-  TR->Result = TR->I->run();
-  return nullptr;
-}
-
-} // namespace
-
-#if defined(__SANITIZE_ADDRESS__)
-#define EAL_UNDER_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define EAL_UNDER_ASAN 1
-#endif
-#endif
-
-std::optional<RtValue> Interpreter::runOnLargeStack(size_t StackBytes) {
-#ifdef EAL_UNDER_ASAN
-  // ASan redzones inflate the recursive eval frames severalfold; the
-  // stack budget has to grow with them or deep-recursion workloads that
-  // fit comfortably in an uninstrumented build overflow here.
-  StackBytes *= 4;
-#endif
-  pthread_attr_t Attr;
-  if (pthread_attr_init(&Attr) != 0)
-    return run();
-  pthread_attr_setstacksize(&Attr, StackBytes);
-  ThreadRun TR{this, std::nullopt};
-  pthread_t Thread;
-  if (pthread_create(&Thread, &Attr, runTrampoline, &TR) != 0) {
-    pthread_attr_destroy(&Attr);
-    return run();
-  }
-  pthread_join(Thread, nullptr);
-  pthread_attr_destroy(&Attr);
-  return TR.Result;
+  eal::runOnLargeStack([&] { Result = run(); });
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//

@@ -51,9 +51,9 @@ public:
   /// runtime errors.
   std::optional<RtValue> run();
 
-  /// Like run(), but on a dedicated thread with \p StackBytes of stack —
-  /// deep nml recursion (long lists) needs more than the default.
-  std::optional<RtValue> runOnLargeStack(size_t StackBytes = 512u << 20);
+  /// Like run(), but on a 512 MB stack (support/LargeStack.h): deep nml
+  /// recursion (long lists) needs more than the default.
+  std::optional<RtValue> runOnLargeStack();
 
   /// Oracle support: with a top-level-letrec program, evaluates the
   /// bindings, then applies binding \p Fn to \p Args (evaluated in the

@@ -117,8 +117,8 @@ private:
 MetricsRegistry &globalMetrics();
 
 namespace detail {
-/// Atomic for the same reason as Trace.h's flags: producer sites load
-/// it from the big-stack execution thread.
+/// Atomic for the same reason as Trace.h's flags: producer sites may
+/// load it on any thread.
 extern std::atomic<bool> MetricsOn;
 } // namespace detail
 

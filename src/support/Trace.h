@@ -63,10 +63,9 @@ struct TraceEvent {
 
 namespace detail {
 /// True iff any consumer is attached: the recorder or the metrics
-/// registry (Metrics.h). Atomic because producer sites check
-/// these from the big-stack execution thread while the toggles run on
-/// the spawning thread; relaxed loads keep the off-path to one plain
-/// load on every target we build for.
+/// registry (Metrics.h). Atomic because producer sites may check
+/// these on one thread while the toggles run on another; relaxed loads
+/// keep the off-path to one plain load on every target we build for.
 extern std::atomic<bool> Enabled;
 extern std::atomic<bool> RecorderOn;
 /// Recomputes the derived flags; called by every enable/disable entry.

@@ -331,22 +331,10 @@ private:
     if (!compileExpr(Callee, B, /*Tail=*/false))
       return false;
 
-    const std::vector<const ArgArenaDirective *> *Directives = nullptr;
-    if (Plan) {
-      auto It = Plan->ByCall.find(Call->id());
-      if (It != Plan->ByCall.end())
-        Directives = &It->second;
-    }
-
     uint32_t NumPending = 0;
     for (size_t I = 0; I != Args.size(); ++I) {
-      const ArgArenaDirective *D = nullptr;
-      if (Directives)
-        for (const ArgArenaDirective *Cand : *Directives)
-          if (Cand->ArgIndex == I) {
-            D = Cand;
-            break;
-          }
+      const ArgArenaDirective *D =
+          Plan ? Plan->directiveFor(Call->id(), I) : nullptr;
       if (D) {
         emit(B, {Opcode::BeginArena,
                  static_cast<int32_t>(directiveIndex(D)), 0, 0}, 0);

@@ -22,7 +22,6 @@
 
 #include "vm/Vm.h"
 
-#include "prof/Profiler.h"
 #include "runtime/SpecHooks.h"
 
 #include <algorithm>
@@ -48,10 +47,9 @@ Vm::Vm(const Chunk &C, DiagnosticEngine &Diags, Options Opts)
                      for (RtValue V : Frame.Pending)
                        M.value(V);
                    }
-                 }),
-      Prof(Opts.Profiler) {
-  if (Prof)
-    Prof->beginVm(C.Protos.size(), NumOpcodes);
+                 }) {
+  if (Opts.Profiler)
+    Opts.Profiler->beginVm(C.Protos.size(), NumOpcodes);
   // Intern one closure per primitive-as-value site up front; PushPrim
   // is then a plain push, never an allocation.
   InternedPrims.reserve(C.PrimRefs.size());
@@ -62,13 +60,6 @@ Vm::Vm(const Chunk &C, DiagnosticEngine &Diags, Options Opts)
     Closure->PrimNodeId = Ref.Site;
     InternedPrims.push_back(Closure);
   }
-}
-
-void Vm::takePendingArenas(uint32_t N, std::vector<size_t> &Arenas) {
-  if (!N)
-    return;
-  Arenas.assign(PendingArenas.end() - N, PendingArenas.end());
-  PendingArenas.resize(PendingArenas.size() - N);
 }
 
 bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
@@ -117,38 +108,53 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
       return true;
     }
 
+    // Saturated: the parameters go on the operand stack, the rest of the
+    // arguments wait in the frame for its result.
     size_t Need = P.Arity - Have;
-    CallFrame CF;
-    CF.P = &P;
-    CF.Ip = 0;
-    CF.Arenas = std::move(Arenas);
-    CF.Pending.assign(Args.begin() + Need, Args.end());
-    if (P.FlatFrame) {
-      // Parameters live on the operand stack from the frame base.
-      CF.StackBase = Stack.size();
-      for (RtValue V : Closure->Partial)
-        Stack.push_back(V);
-      for (size_t I = 0; I != Need; ++I)
-        Stack.push_back(Args[I]);
-      CF.Env = Closure->Env;
-    } else {
-      EnvPtr Frame = std::make_shared<EnvFrame>();
-      Frame->Parent = Closure->Env;
-      Frame->Slots.reserve(P.Arity);
-      for (RtValue V : Closure->Partial)
-        Frame->Slots.emplace_back(Symbol::invalid(), V);
-      for (size_t I = 0; I != Need; ++I)
-        Frame->Slots.emplace_back(Symbol::invalid(), Args[I]);
-      CF.Env = std::move(Frame);
-      CF.StackBase = Stack.size();
-    }
-    Frames.push_back(std::move(CF));
-    if (Frames.size() > Core.Stats.PeakCallFrames)
-      Core.Stats.PeakCallFrames = Frames.size();
-    if (Prof) [[unlikely]]
-      Prof->framePushed(static_cast<uint32_t>(Closure->ProtoIdx));
+    size_t Base = Stack.size();
+    Stack.insert(Stack.end(), Closure->Partial.begin(),
+                 Closure->Partial.end());
+    Stack.insert(Stack.end(), Args.begin(), Args.begin() + Need);
+    activate(*Closure, Base, std::move(Arenas),
+             std::vector<RtValue>(Args.begin() + Need, Args.end()),
+             /*Replace=*/false);
     return true;
   }
+}
+
+void Vm::activate(const RtClosure &Closure, size_t Base,
+                  std::vector<size_t> &&Arenas,
+                  std::vector<RtValue> &&Pending, bool Replace) {
+  const Proto &P = C.Protos[Closure.ProtoIdx];
+  size_t First = Stack.size() - P.Arity;
+  CallFrame CF{&P, 0, nullptr, Base, std::move(Arenas), std::move(Pending)};
+  if (P.FlatFrame) {
+    // Parameters live on the operand stack from the frame base: slide
+    // them down over what lies below them (the callee, or the replaced
+    // frame's slots).
+    if (First != Base)
+      std::move(Stack.begin() + First, Stack.end(), Stack.begin() + Base);
+    Stack.resize(Base + P.Arity);
+    CF.Env = Closure.Env;
+  } else {
+    EnvPtr Frame = std::make_shared<EnvFrame>();
+    Frame->Parent = Closure.Env;
+    Frame->Slots.reserve(P.Arity);
+    for (size_t I = First; I != Stack.size(); ++I)
+      Frame->Slots.emplace_back(Symbol::invalid(), Stack[I]);
+    Stack.resize(Base);
+    CF.Env = std::move(Frame);
+  }
+  uint32_t Key = static_cast<uint32_t>(Closure.ProtoIdx);
+  if (Replace) {
+    Frames.back() = std::move(CF);
+    Core.replaceFrame(Key);
+    return;
+  }
+  Frames.push_back(std::move(CF));
+  if (Frames.size() > Core.Stats.PeakCallFrames)
+    Core.Stats.PeakCallFrames = Frames.size();
+  Core.enterFrame(Key);
 }
 
 bool Vm::doPrim(PrimOp Op, uint32_t Site) {
@@ -268,113 +274,49 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
   return true;
 }
 
-bool Vm::doCall(size_t N, uint32_t NumPending) {
-  assert(Stack.size() >= Frames.back().StackBase + N + 1 &&
-         "stack underflow");
-  RtValue Callee = Stack[Stack.size() - N - 1];
-  std::vector<size_t> Arenas;
-  takePendingArenas(NumPending, Arenas);
-
-  if (Callee.isClosure()) {
-    RtClosure *Closure = Callee.closure();
-    if (!Closure->IsPrim && Closure->Partial.empty()) {
-      assert(Closure->ProtoIdx >= 0 && "interpreter closure inside the VM");
-      const Proto &P = C.Protos[Closure->ProtoIdx];
-      if (P.Arity == N) {
-        ++Core.Stats.Applications;
-        CallFrame CF;
-        CF.P = &P;
-        CF.Ip = 0;
-        CF.Arenas = std::move(Arenas);
-        if (P.FlatFrame) {
-          // Squeeze the callee out from under its arguments: the args
-          // become the new frame's base slots in place.
-          std::move(Stack.end() - N, Stack.end(), Stack.end() - N - 1);
-          Stack.pop_back();
-          CF.StackBase = Stack.size() - N;
-          CF.Env = Closure->Env;
-        } else {
-          EnvPtr Frame = std::make_shared<EnvFrame>();
-          Frame->Parent = Closure->Env;
-          Frame->Slots.reserve(N);
-          for (size_t I = Stack.size() - N; I != Stack.size(); ++I)
-            Frame->Slots.emplace_back(Symbol::invalid(), Stack[I]);
-          Stack.resize(Stack.size() - N - 1);
-          CF.Env = std::move(Frame);
-          CF.StackBase = Stack.size();
-        }
-        Frames.push_back(std::move(CF));
-        if (Frames.size() > Core.Stats.PeakCallFrames)
-          Core.Stats.PeakCallFrames = Frames.size();
-        if (Prof) [[unlikely]]
-          Prof->framePushed(static_cast<uint32_t>(Closure->ProtoIdx));
-        return true;
-      }
-    }
-  }
-
-  std::vector<RtValue> Args(Stack.end() - N, Stack.end());
-  Stack.resize(Stack.size() - N - 1);
-  return applyValue(Callee, std::move(Args), std::move(Arenas));
-}
-
-bool Vm::doTailCall(size_t N, uint32_t NumPending) {
+bool Vm::doCall(size_t N, uint32_t NumPending, bool Tail) {
   CallFrame &Frame = Frames.back();
-  // An over-application continuation is pinned to this frame; the code
-  // after the TailCall (cleanup + Return) is exactly the unfused
-  // sequence, so behave like a plain call.
-  if (!Frame.Pending.empty())
-    return doCall(N, NumPending);
-
   assert(Stack.size() >= Frame.StackBase + N + 1 && "stack underflow");
+  // An over-application continuation is pinned to this frame; the code
+  // after a TailCall (cleanup + Return) is exactly the unfused sequence,
+  // so then behave like a plain call.
+  Tail = Tail && Frame.Pending.empty();
   std::vector<size_t> Arenas;
-  takePendingArenas(NumPending, Arenas);
-  // The replaced frame's arenas transfer to the callee: they are freed
-  // when it returns — the same execution point at which the unfused
-  // Call+Return pair would have freed them.
-  Arenas.insert(Arenas.end(), Frame.Arenas.begin(), Frame.Arenas.end());
-  Frame.Arenas.clear();
+  if (NumPending) {
+    Arenas.assign(PendingArenas.end() - NumPending, PendingArenas.end());
+    PendingArenas.resize(PendingArenas.size() - NumPending);
+  }
+  if (Tail) {
+    // The replaced frame's arenas transfer to the callee: they are freed
+    // when it returns — the same execution point at which the unfused
+    // Call+Return pair would have freed them.
+    Arenas.insert(Arenas.end(), Frame.Arenas.begin(), Frame.Arenas.end());
+    Frame.Arenas.clear();
+  }
+  size_t Slot = Stack.size() - N - 1; // the callee's
+  RtValue Callee = Stack[Slot];
+  // A tail call's frame starts where the replaced one did.
+  size_t Base = Tail ? Frame.StackBase : Slot;
 
-  RtValue Callee = Stack[Stack.size() - N - 1];
-  size_t Base = Frame.StackBase;
-
-  if (Callee.isClosure()) {
-    RtClosure *Closure = Callee.closure();
-    if (!Closure->IsPrim && Closure->Partial.empty()) {
-      assert(Closure->ProtoIdx >= 0 && "interpreter closure inside the VM");
-      const Proto &P = C.Protos[Closure->ProtoIdx];
-      if (P.Arity == N) {
-        // Reuse the frame in place: deep tail recursion runs in O(1)
-        // call frames.
-        ++Core.Stats.Applications;
-        if (P.FlatFrame) {
-          std::move(Stack.end() - N, Stack.end(), Stack.begin() + Base);
-          Stack.resize(Base + N);
-          Frame.Env = Closure->Env;
-        } else {
-          EnvPtr NewEnv = std::make_shared<EnvFrame>();
-          NewEnv->Parent = Closure->Env;
-          NewEnv->Slots.reserve(N);
-          for (size_t I = Stack.size() - N; I != Stack.size(); ++I)
-            NewEnv->Slots.emplace_back(Symbol::invalid(), Stack[I]);
-          Stack.resize(Base);
-          Frame.Env = std::move(NewEnv);
-        }
-        Frame.P = &P;
-        Frame.Ip = 0;
-        Frame.Arenas = std::move(Arenas);
-        if (Prof) [[unlikely]]
-          Prof->frameReplaced(static_cast<uint32_t>(Closure->ProtoIdx));
-        return true;
-      }
+  // Fast path: a user closure that the arguments saturate exactly binds
+  // them where they lie. A tail call reuses the frame in place, so deep
+  // tail recursion runs in O(1) call frames.
+  const RtClosure *Closure = Callee.isClosure() ? Callee.closure() : nullptr;
+  if (Closure && !Closure->IsPrim && Closure->Partial.empty()) {
+    assert(Closure->ProtoIdx >= 0 && "interpreter closure inside the VM");
+    if (C.Protos[Closure->ProtoIdx].Arity == N) {
+      ++Core.Stats.Applications;
+      activate(*Closure, Base, std::move(Arenas), {}, Tail);
+      return true;
     }
   }
 
   std::vector<RtValue> Args(Stack.end() - N, Stack.end());
-  Frames.pop_back();
   Stack.resize(Base);
-  if (Prof) [[unlikely]]
-    Prof->framePopped();
+  if (Tail) {
+    Frames.pop_back();
+    Core.leaveFrame();
+  }
   return applyValue(Callee, std::move(Args), std::move(Arenas));
 }
 
@@ -383,8 +325,7 @@ bool Vm::doReturn() {
   RtValue Result = Stack.back();
   CallFrame Finished = std::move(Frames.back());
   Frames.pop_back();
-  if (Prof) [[unlikely]]
-    Prof->framePopped();
+  Core.leaveFrame();
   Stack.resize(Finished.StackBase);
   if (!Core.closeArenas(Finished.Arenas, Result))
     return false;
@@ -398,17 +339,11 @@ std::optional<RtValue> Vm::run() {
   Core.Failed = false;
 
   // Enter the entry proto.
-  {
-    CallFrame CF;
-    CF.P = &C.Protos[C.Entry];
-    CF.Env = std::make_shared<EnvFrame>();
-    CF.StackBase = 0;
-    Frames.push_back(std::move(CF));
-    Core.Stats.PeakCallFrames =
-        std::max<uint64_t>(Core.Stats.PeakCallFrames, 1);
-    if (Prof)
-      Prof->framePushed(C.Entry);
-  }
+  Frames.push_back(CallFrame{&C.Protos[C.Entry], 0,
+                             std::make_shared<EnvFrame>(), 0, {}, {}});
+  Core.Stats.PeakCallFrames =
+      std::max<uint64_t>(Core.Stats.PeakCallFrames, 1);
+  Core.enterFrame(C.Entry);
   Frames.reserve(64);
   Stack.reserve(256);
 
@@ -419,7 +354,7 @@ std::optional<RtValue> Vm::run() {
   const Instr *In = nullptr;
   // Profiling state, hoisted so the per-instruction hook is one
   // predictable branch when profiling is off.
-  const bool ProfOn = Prof != nullptr;
+  prof::Profiler *const Prof = Core.Opts.Profiler;
   const Proto *ProtoBase = C.Protos.data();
 
   // One handler body per opcode, two dispatch mechanisms. The hot state
@@ -454,7 +389,7 @@ std::optional<RtValue> Vm::run() {
       goto run_done;                                                         \
     }                                                                        \
     In = IP++;                                                               \
-    if (ProfOn) [[unlikely]]                                                 \
+    if (Prof) [[unlikely]]                                                   \
       Prof->countVmStep(static_cast<uint8_t>(In->Op),                        \
                         static_cast<uint32_t>(F->P - ProtoBase));            \
     goto *Targets[static_cast<uint8_t>(In->Op)];                             \
@@ -491,7 +426,7 @@ std::optional<RtValue> Vm::run() {
       break;
     }
     In = IP++;
-    if (ProfOn) [[unlikely]]
+    if (Prof) [[unlikely]]
       Prof->countVmStep(static_cast<uint8_t>(In->Op),
                         static_cast<uint32_t>(F->P - ProtoBase));
     switch (In->Op) {
@@ -535,19 +470,24 @@ std::optional<RtValue> Vm::run() {
     Stack.push_back(RtValue::makeClosure(Closure));
     VM_NEXT_FAST();
   }
+  // Calls and returns report frame events, whose clock is
+  // Core.Stats.Steps: publish the local step count first.
   VM_OP(Call) {
     VM_SAVE(); // the callee's Return resumes the caller here
-    if (!doCall(static_cast<size_t>(In->A), In->B))
+    Core.Stats.Steps = Steps;
+    if (!doCall(static_cast<size_t>(In->A), In->B, /*Tail=*/false))
       VM_FAIL();
     VM_NEXT();
   }
   VM_OP(TailCall) {
-    VM_SAVE(); // doTailCall falls back to a plain call when pendings exist
-    if (!doTailCall(static_cast<size_t>(In->A), In->B))
+    VM_SAVE(); // doCall falls back to a plain call when pendings exist
+    Core.Stats.Steps = Steps;
+    if (!doCall(static_cast<size_t>(In->A), In->B, /*Tail=*/true))
       VM_FAIL();
     VM_NEXT();
   }
   VM_OP(Return) {
+    Core.Stats.Steps = Steps;
     if (!doReturn())
       VM_FAIL();
     VM_NEXT();

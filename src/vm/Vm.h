@@ -60,25 +60,33 @@ private:
   bool applyValue(RtValue Callee, std::vector<RtValue> Args,
                   std::vector<size_t> Arenas);
 
-  /// Call with \p N stack arguments below the callee; fast-paths exact-
-  /// arity user closures (flat frames bind in place, no EnvFrame).
-  bool doCall(size_t N, uint32_t NumPending);
-  /// TailCall: like doCall but replaces the current frame, inheriting
-  /// its arenas (freed at the same execution point as the unfused
-  /// Call+Return). Falls back to a plain call when the frame still has
-  /// an over-application continuation pending.
-  bool doTailCall(size_t N, uint32_t NumPending);
+  /// The one frame routine: activates saturated user closure \p Closure,
+  /// whose parameters (partial arguments first) are the top operand-stack
+  /// values. They become the frame's slots from stack height \p Base on
+  /// (flat frames) or a fresh EnvFrame (the stack is cut back to \p Base);
+  /// what lay between \p Base and them is dropped. Pushes a frame, or with
+  /// \p Replace reuses the current one (a tail call). The frame owns
+  /// \p Arenas and applies its result to \p Pending. Inlined into its
+  /// callers like the copies it replaced: out of line, it slowed
+  /// call-heavy VM runs measurably.
+  [[gnu::always_inline]] inline void
+  activate(const RtClosure &Closure, size_t Base, std::vector<size_t> &&Arenas,
+           std::vector<RtValue> &&Pending, bool Replace);
+
+  /// Call (\p Tail: TailCall) with \p N stack arguments below the callee,
+  /// taking the innermost \p NumPending stashed arenas; fast-paths
+  /// exact-arity user closures (flat frames bind in place, no EnvFrame).
+  /// A TailCall replaces the current frame, inheriting its arenas (freed
+  /// at the same execution point as the unfused Call+Return), unless the
+  /// frame still has an over-application continuation pending.
+  bool doCall(size_t N, uint32_t NumPending, bool Tail);
   /// Return: pops the frame, frees its arenas, resumes the caller.
   bool doReturn();
   /// Runs saturated primitive \p Op over the stack top in place.
   bool doPrim(PrimOp Op, uint32_t Site);
-  /// Moves the innermost \p N stashed arenas into \p Arenas.
-  void takePendingArenas(uint32_t N, std::vector<size_t> &Arenas);
 
   const Chunk &C;
   EngineCore Core;
-  /// Core.Opts.Profiler, cached for the dispatch loop's frame hooks.
-  prof::Profiler *const Prof;
 
   std::vector<RtValue> Stack;
   std::vector<CallFrame> Frames;

@@ -173,4 +173,47 @@ TEST(PipelineEffectsTest, TypeErrorsPropagate) {
   EXPECT_FALSE(R.diagnostics().empty());
 }
 
+//===----------------------------------------------------------------------===//
+// Deep input: every pass recurses as deep as the source nests, so the
+// whole pipeline runs on the big stack. Each of these crashed some pass
+// on the default 8 MB stack (tests/driver/DeepInput.cmake runs them
+// through `eal analyze`).
+//===----------------------------------------------------------------------===//
+
+std::string repeat(const std::string &Piece, size_t Times) {
+  std::string Out;
+  Out.reserve(Piece.size() * Times);
+  for (size_t I = 0; I != Times; ++I)
+    Out += Piece;
+  return Out;
+}
+
+void expectValueOnBothEngines(const std::string &Source,
+                              const std::string &Value) {
+  for (ExecutionEngine Engine :
+       {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode}) {
+    PipelineOptions Options;
+    Options.Engine = Engine;
+    PipelineResult R = runPipeline(Source, Options);
+    const char *Name = Engine == ExecutionEngine::Bytecode ? "vm" : "tree";
+    ASSERT_TRUE(R.Success) << Name << ": " << R.diagnostics();
+    EXPECT_EQ(R.RenderedValue, Value) << Name;
+  }
+}
+
+TEST(DeepInputTest, NestedParentheses) {
+  expectValueOnBothEngines(repeat("(", 50000) + "1" + repeat(")", 50000),
+                           "1");
+}
+
+TEST(DeepInputTest, LongListLiteral) {
+  // The printer shows the first 64 elements.
+  expectValueOnBothEngines("[" + repeat("1, ", 39999) + "1]",
+                           "[" + repeat("1, ", 64) + "...]");
+}
+
+TEST(DeepInputTest, LongSum) {
+  expectValueOnBothEngines(repeat("1+", 49999) + "1", "50000");
+}
+
 } // namespace

@@ -191,7 +191,7 @@ PipelineResult profiledRun(ExecutionEngine Engine, prof::Profiler &P,
   O.Engine = Engine;
   O.RunLint = true;
   O.Optimize.EnableReuse = EnableReuse;
-  O.Obs.Profile = &P;
+  O.Run.Profiler = &P;
   PipelineResult R = runPipeline(SortSource, O);
   EXPECT_TRUE(R.Success) << R.diagnostics();
   return R;
@@ -266,6 +266,21 @@ TEST_P(ProfiledEngineTest, StacksAreNonTrivialAndConserveWeight) {
   EXPECT_EQ(P.stacks().depth(), 0u); // finish() unwound everything
   std::string Folded = P.stacks().folded(key, "e");
   EXPECT_GT(std::count(Folded.begin(), Folded.end(), '\n'), 3);
+}
+
+// A run stopped by the step budget still charges every step it counted:
+// both engines weigh the tree by RuntimeStats::Steps.
+TEST_P(ProfiledEngineTest, StepBudgetStopChargesEveryStep) {
+  prof::Profiler P;
+  PipelineOptions O;
+  O.Engine = GetParam();
+  O.Run.MaxSteps = 100;
+  O.Run.Profiler = &P;
+  PipelineResult R = runPipeline(SortSource, O);
+  ASSERT_FALSE(R.Success);
+  EXPECT_GT(R.Stats.Steps, 100u);
+  EXPECT_EQ(P.clock(), R.Stats.Steps);
+  EXPECT_EQ(P.stacks().totalWeight(), R.Stats.Steps);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ProfiledEngineTest,

@@ -246,7 +246,7 @@ TEST_F(InterpreterTest, FuelLimitStopsDivergence) {
   Opts.MaxSteps = 10000;
   // The diverging loop recurses natively until the fuel runs out, which
   // needs more than a default test-thread stack under sanitizers; run it
-  // the way the CLI does, on the big-stack thread.
+  // the way the CLI does, on the big stack.
   ASSERT_TRUE(FE.parseAndType("letrec loop x = loop x in loop 1"))
       << FE.diagText();
   Interp = std::make_unique<Interpreter>(FE.Ast, *FE.Typed, nullptr, FE.Diags,

@@ -9,10 +9,15 @@
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
 #include "support/Hashing.h"
+#include "support/LargeStack.h"
 #include "support/SourceManager.h"
 #include "support/StringInterner.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <stdexcept>
+#include <unistd.h>
 
 using namespace eal;
 
@@ -175,6 +180,60 @@ TEST(StringInternerTest, SymbolsAreHashable) {
 TEST(HashingTest, OrderSensitive) {
   EXPECT_NE(hashValues(1, 2), hashValues(2, 1));
   EXPECT_EQ(hashValues(1, 2), hashValues(1, 2));
+}
+
+//===----------------------------------------------------------------------===//
+// LargeStack
+//===----------------------------------------------------------------------===//
+
+size_t residentBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  size_t Pages = 0, Resident = 0;
+  Statm >> Pages >> Resident;
+  return Resident * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// Recurses \p Depth frames of at least 4 KB each and returns the
+/// resident set size at the deepest one.
+[[gnu::noinline]] size_t residentAtDepth(size_t Depth) {
+  volatile char Pad[4096];
+  Pad[0] = 0;
+  size_t Resident = Depth ? residentAtDepth(Depth - 1) : residentBytes();
+  return Resident + static_cast<size_t>(Pad[0]);
+}
+
+// 128 MB of frames: far past a default thread's 8 MB stack.
+constexpr size_t DeepFrames = 32 << 10;
+
+TEST(LargeStackTest, RunsRecursionPastTheDefaultStack) {
+  size_t Resident = 0;
+  runOnLargeStack([&] { Resident = residentAtDepth(DeepFrames); });
+  EXPECT_GT(Resident, DeepFrames * 4096);
+}
+
+TEST(LargeStackTest, ReleasesWhatADeepCallTouched) {
+  size_t Deepest = 0;
+  runOnLargeStack([&] { Deepest = residentAtDepth(DeepFrames); });
+  // At least half of the 128 MB the call touched is gone again.
+  EXPECT_LT(residentBytes() + DeepFrames * 2048, Deepest);
+}
+
+TEST(LargeStackTest, RethrowsWhatTheBodyThrows) {
+  EXPECT_THROW(runOnLargeStack([] { throw std::runtime_error("body"); }),
+               std::runtime_error);
+  bool Ran = false;
+  runOnLargeStack([&] { Ran = true; });
+  EXPECT_TRUE(Ran);
+}
+
+TEST(LargeStackTest, NestedCallRunsOnTheSameStack) {
+  int Order = 0, Inner = 0, Outer = 0;
+  runOnLargeStack([&] {
+    runOnLargeStack([&] { Inner = ++Order; });
+    Outer = ++Order;
+  });
+  EXPECT_EQ(Inner, 1);
+  EXPECT_EQ(Outer, 2);
 }
 
 } // namespace

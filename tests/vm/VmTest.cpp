@@ -142,7 +142,7 @@ in len (build 100000)
 )";
   PipelineOptions Options;
   Options.Engine = ExecutionEngine::Bytecode;
-  Options.UseLargeStack = false; // irrelevant for the VM
+  Options.UseLargeStack = false; // the run stays on this thread's stack
   PipelineResult R = runPipeline(Source, Options);
   ASSERT_TRUE(R.Success) << R.diagnostics();
   EXPECT_EQ(R.RenderedValue, "100000");

@@ -10,8 +10,8 @@
 #             -DEAL_OBS_RECORDER=OFF: every rec::emit site must compile
 #             away cleanly when the flight recorder is configured out
 #   tsan      ThreadSanitizer: the obs sinks and enable flags are read
-#             from the big-stack execution thread (prep for a parallel
-#             runtime), so toggling them must stay race-free; the
+#             by producing threads while another toggles them (prep for
+#             a parallel runtime), so toggling must stay race-free; the
 #             recorder's ring/drain/dump protocol is stressed by
 #             tests/obs/RecorderStressTest.cpp in the tier-1 suite
 #

@@ -306,11 +306,11 @@ int runProfile(const std::string &Source, PipelineOptions Options,
   prof::Profiler VmProf;
 
   Options.Engine = ExecutionEngine::TreeWalker;
-  Options.Obs.Profile = &TreeProf;
+  Options.Run.Profiler = &TreeProf;
   PipelineResult R1 = runPipeline(Source, Options);
 
   Options.Engine = ExecutionEngine::Bytecode;
-  Options.Obs.Profile = &VmProf;
+  Options.Run.Profiler = &VmProf;
   Options.RunLint = false; // findings carry over from the first run
   PipelineResult R2 = runPipeline(Source, Options);
 
