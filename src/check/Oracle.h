@@ -13,7 +13,7 @@
 /// every such promise as a *claim table* over the final program — the
 /// verdicts of EscapeAnalyzer::callEscape, the rule AllocPlanner::run
 /// uses, so every planner decision is covered even when a knob left the
-/// plan empty — and then, riding the interpreter's ExecutionObserver
+/// plan empty — and then, riding either engine's ExecutionObserver
 /// hooks, checks each claim against the concrete heap:
 ///
 ///  * at activation entry, the claimed spine cells of each argument are
@@ -28,8 +28,8 @@
 ///    through eal::obs metrics so precision is trackable across PRs.
 ///
 /// Arena-class cells get their own independent check: oracle runs force
-/// Interpreter::Options::ValidateArenaFrees, which verifies cell-by-cell
-/// at every arena free that the optimizer's placement was safe.
+/// EngineOptions::ValidateArenaFrees, which verifies cell-by-cell at
+/// every arena free that the optimizer's placement was safe.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -189,7 +189,6 @@ void runPipelineImpl(const std::string &Source,
     return;
   }
 
-  ExecutionEngine Engine = Options.Engine;
   Interpreter::Options RunOpts = Options.Run;
 
   if (Options.Spec.Enable) {
@@ -238,10 +237,7 @@ void runPipelineImpl(const std::string &Source,
 
   if (Options.RunOracle) {
     obs::PhaseTimer T(&R.PhaseMicros, "claims");
-    // The oracle checks activation events, which only the tree-walker
-    // reports, and a sound plan must also survive cell-by-cell arena-free
-    // validation.
-    Engine = ExecutionEngine::TreeWalker;
+    // A sound plan must also survive cell-by-cell arena-free validation.
     RunOpts.ValidateArenaFrees = true;
     R.Oracle = std::make_unique<check::EscapeOracle>(
         *R.Ast, check::buildClaimTable(*R.Ast, FinalTyped, FinalAnalyzer));
@@ -274,7 +270,7 @@ void runPipelineImpl(const std::string &Source,
   // analysis layers nest inside "optimize".
   {
     obs::PhaseTimer T(&R.PhaseMicros, "execute");
-    const bool OnVm = Engine == ExecutionEngine::Bytecode;
+    const bool OnVm = Options.Engine == ExecutionEngine::Bytecode;
     T.span().arg("engine", OnVm ? "bytecode" : "tree-walker");
     if (OnVm) {
       obs::PhaseTimer C(&R.PhaseMicros, "compile");

@@ -115,10 +115,10 @@ struct PipelineOptions {
   /// recorder so findings carry Blame arrays, but builds no chains.
   bool RunExplain = false;
   /// Cross-check every static escape claim against the concrete run
-  /// (eal::check dynamic oracle). Forces the tree-walker engine (the
-  /// activation events it checks are tree-walker only) and arena-free
-  /// validation; implies the program is executed. A refuted claim
-  /// aborts the run with an error.
+  /// (eal::check dynamic oracle) on the chosen engine, which reports the
+  /// activations the oracle checks. Forces arena-free validation;
+  /// implies the program is executed. A refuted claim aborts the run
+  /// with an error.
   bool RunOracle = false;
   /// Run the backward heap-liveness analysis (src/live) over the final
   /// program: per-function demand summaries, per-site demands, and the
@@ -198,13 +198,14 @@ struct PipelineResult {
   std::string RenderedValue;
   RuntimeStats Stats;
 
-  /// Lint findings and/or the oracle cross-check report (present iff
-  /// RunLint or RunOracle was set).
+  /// Lint findings, the oracle cross-check report and the EAL-D
+  /// dead-data findings (present iff RunLint, RunOracle, RunLive or
+  /// RunLiveOracle was set).
   std::optional<check::CheckReport> Check;
   /// Blame chains for every allocation site of the final program
   /// (present iff RunExplain was set; references *Prov).
   std::optional<explain::ExplainReport> Explain;
-  /// The live oracle (kept so tests can inspect it; its report is also
+  /// The escape oracle (kept so tests can inspect it; its report is also
   /// copied into Check->Oracle).
   std::unique_ptr<check::EscapeOracle> Oracle;
   /// The liveness analysis report (present iff RunLive / RunLiveOracle

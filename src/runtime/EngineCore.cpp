@@ -158,9 +158,23 @@ bool EngineCore::release(size_t Handle, bool Validate) {
   return true;
 }
 
+bool EngineCore::exitActivations(const RtValue *Result, size_t Exits,
+                                 SourceLoc Loc) {
+  assert(Exits <= OpenActivations && "ending an activation never begun");
+  OpenActivations -= Exits;
+  bool Ok = true;
+  for (; Exits; --Exits)
+    if (!Opts.Observer->activationExited(Ok ? Result : nullptr) && Ok &&
+        Result)
+      Ok = error(Opts.Observer->abortReason(), Loc);
+  return Ok;
+}
+
 std::optional<RtValue> EngineCore::endRun(std::optional<RtValue> Result) {
-  // After the first error nothing evaluates, so the arenas still live are
-  // exactly those of the activations the error abandoned.
+  // Only a failed run leaves activations open. After the first error
+  // nothing evaluates, so the arenas still live are exactly those of the
+  // activations the error abandoned.
+  endActivations(nullptr, OpenActivations);
   if (Failed)
     for (size_t Handle : TheHeap.liveArenas())
       release(Handle, /*Validate=*/false);

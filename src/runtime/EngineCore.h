@@ -23,10 +23,11 @@
 ///    result rooted, then the arena is freed.
 ///
 /// It also applies primitive closures, reports every activation frame
-/// (enterFrame, replaceFrame, leaveFrame) and ends every run (endRun),
-/// which releases a failed run's arenas in one place. The frame events
-/// and the end of the run are the profiler's one calling-context feed on
-/// both engines, with one clock: RuntimeStats::Steps.
+/// (enterFrame, leaveFrame) and ends every run (endRun), which releases
+/// a failed run's arenas in one place. The frame events are both
+/// engines' one activation channel: the profiler's calling-context feed,
+/// with one clock (RuntimeStats::Steps), and the observer's only source
+/// of activation begins and ends.
 ///
 /// Each engine keeps only its evaluator, its root scanner and its
 /// diagnostic text.
@@ -66,8 +67,8 @@ struct EngineOptions {
   /// Verify at every arena free that no arena cell is still reachable
   /// (catches unsafe allocation plans; expensive).
   bool ValidateArenaFrees = false;
-  /// Cell events, and on the tree-walker activations
-  /// (runtime/ExecutionObserver.h), not owned. Null disables them.
+  /// Cell events and activations (runtime/ExecutionObserver.h), not
+  /// owned. Null disables them.
   ExecutionObserver *Observer = nullptr;
   /// Hot-path profiler (prof/Profiler.h), not owned. Null disables
   /// profiling. Its site counters are fed through Observer; the core's
@@ -141,30 +142,52 @@ public:
 
   //===--- Frame events ----------------------------------------------------==//
   //
-  // Each charges the steps counted since the previous event
-  // (RuntimeStats::Steps) to the profiler's current frame. Keys are
-  // lambda node ids on the tree-walker and proto indices on the VM.
+  // The one activation channel. Each event charges the steps counted
+  // since the previous one (RuntimeStats::Steps) to the profiler's current
+  // frame, keyed by lambda node id on the tree-walker and proto index on
+  // the VM, and reports activation begins and ends to the observer.
 
-  /// An activation keyed \p Key begins.
-  void enterFrame(uint32_t Key) {
+  /// A begin: the lambda whose body runs (null reports nothing: the VM's
+  /// entry frame), the spine's AppExpr when this is the spine's first
+  /// activation (its direct callee), and the arguments it consumed.
+  struct Activation {
+    const LambdaExpr *Fn = nullptr;
+    const AppExpr *CallSite = nullptr;
+    std::span<const RtValue> Args;
+  };
+
+  /// \p A begins in a new frame keyed \p Key, or with \p Replace (a tail
+  /// call) in the current frame, whose activations then end with it.
+  void enterFrame(uint32_t Key, const Activation &A, bool Replace = false) {
     if (Opts.Profiler) [[unlikely]]
-      Opts.Profiler->framePushed(Key, Stats.Steps);
+      Replace ? Opts.Profiler->frameReplaced(Key, Stats.Steps)
+              : Opts.Profiler->framePushed(Key, Stats.Steps);
+    if (Opts.Observer && A.Fn) [[unlikely]] {
+      ++OpenActivations;
+      Opts.Observer->activationEntered(A.Fn, A.CallSite, A.Args);
+    }
   }
-  /// A tail call replaces the current activation by one keyed \p Key.
-  void replaceFrame(uint32_t Key) {
-    if (Opts.Profiler) [[unlikely]]
-      Opts.Profiler->frameReplaced(Key, Stats.Steps);
-  }
-  /// The current activation ends.
-  void leaveFrame() {
+  /// The current frame ends, and with it its \p Exits innermost
+  /// activations (endActivations).
+  bool leaveFrame(const RtValue *Result, size_t Exits = 1,
+                  SourceLoc Loc = SourceLoc::invalid()) {
     if (Opts.Profiler) [[unlikely]]
       Opts.Profiler->framePopped(Stats.Steps);
+    return endActivations(Result, Exits, Loc);
+  }
+  /// The \p Exits innermost activations end with \p Result (null while
+  /// unwinding), before their arenas close. An observer that refuses the
+  /// result is a runtime error at \p Loc, and the outer ones end with
+  /// null; returns false then.
+  bool endActivations(const RtValue *Result, size_t Exits,
+                      SourceLoc Loc = SourceLoc::invalid()) {
+    return !Opts.Observer || !Exits || exitActivations(Result, Exits, Loc);
   }
 
-  /// Ends a run of either engine with \p Result. After a failure it
-  /// releases every arena the heap still holds, without validation. It
-  /// empties the active-arena stack and finishes the profiler. Returns
-  /// \p Result, or nullopt when the run failed.
+  /// Ends a run of either engine with \p Result. After a failure it ends
+  /// the open activations, then releases every arena the heap still
+  /// holds, without validation. It empties the active-arena stack and
+  /// finishes the profiler. Returns \p Result, or nullopt on failure.
   std::optional<RtValue> endRun(std::optional<RtValue> Result);
 
   const EngineOptions Opts;
@@ -176,6 +199,7 @@ public:
 
 private:
   bool close(std::vector<size_t> &Arenas, RtValue Result);
+  bool exitActivations(const RtValue *Result, size_t Exits, SourceLoc Loc);
   /// Announces \p Handle's close, validates it when \p Validate, frees
   /// it. Returns false, leaving it live, after a validation diagnostic.
   bool release(size_t Handle, bool Validate);
@@ -191,6 +215,8 @@ private:
   std::vector<ActiveArena> ArenaStack;
   /// The result an arena close roots during validation.
   RtValue Pinned = RtValue::makeNil();
+  /// Activations the observer saw begin and not yet end.
+  size_t OpenActivations = 0;
 
   /// All closures (owned; never individually freed).
   std::vector<std::unique_ptr<RtClosure>> Closures;

@@ -18,13 +18,12 @@
 ///
 /// Both engines attach the observer the same way, as
 /// EngineOptions::Observer of the runtime core (EngineCore.h), which
-/// hands it to the heap. The tree-walker additionally reports
-/// user-closure activations, with strict bracketing: every
-/// activationEntered is matched by exactly one activationExited (with a
-/// null result when the body's evaluation failed), in LIFO order. Both
-/// hooks fire while the activation's frame is still a GC root, so
-/// values passed to the observer cannot be swept during the callback.
-/// The VM reports no activations.
+/// hands it to the heap. The core's frame events are the only source of
+/// user-closure activations, which both engines report with the same
+/// nesting and strict bracketing: every activationEntered is matched by
+/// exactly one activationExited (with a null result when evaluation
+/// failed), in LIFO order. Both hooks fire while the values passed are
+/// still rooted, so they cannot be swept during the callback.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,10 +114,10 @@ public:
   }
 
   /// The matching activation finished. \p Result is its value, or null
-  /// when the body's evaluation failed and the interpreter is
-  /// unwinding. Fires *before* the activation's arenas are reclaimed,
-  /// so arena-class cells are still inspectable. Returning false aborts
-  /// evaluation; the interpreter reports abortReason() as a diagnostic.
+  /// when evaluation failed and the engine is unwinding. Fires *before*
+  /// the activation's arenas are reclaimed, so arena-class cells are
+  /// still inspectable. Returning false aborts evaluation; the engine
+  /// reports abortReason() as a diagnostic.
   virtual bool activationExited(const RtValue *Result) {
     (void)Result;
     return true;

@@ -7,7 +7,6 @@
 
 #include "runtime/Interpreter.h"
 
-#include "runtime/ExecutionObserver.h"
 #include "runtime/SpecHooks.h"
 #include "runtime/ValuePrinter.h"
 #include "support/LargeStack.h"
@@ -145,24 +144,19 @@ Interpreter::applyValues(RtValue Callee, const std::vector<RtValue> &Args,
     // are no-ops). Consumed arguments live on only through the frame.
     ClearConsumed(Idx);
     ShadowStack[Base] = RtValue::makeNil(); // callee consumed too
-    ExecutionObserver *Obs = Core.Opts.Observer;
     std::optional<RtValue> R;
     {
       FrameGuard Active(ActiveFrames, Frame.get());
-      if (Obs)
-        Obs->activationEntered(C->Lambda, DirectCallee ? Call : nullptr,
-                               std::span<const RtValue>(Args).subspan(
-                                   FirstArg, Idx - FirstArg));
-      Core.enterFrame(C->Lambda->id());
+      Core.enterFrame(C->Lambda->id(),
+                      {C->Lambda, DirectCallee ? Call : nullptr,
+                       std::span<const RtValue>(Args).subspan(
+                           FirstArg, Idx - FirstArg)});
       R = eval(Body, Frame);
-      Core.leaveFrame();
-      // The exit hook runs before closeArenas so arena cells are still
-      // inspectable, and inside the FrameGuard so the frame roots them.
-      if (Obs && !Obs->activationExited(R ? &*R : nullptr) && R) {
-        Core.error(Obs->abortReason(),
-                   Call ? Call->loc() : SourceLoc::invalid());
+      // Before closeArenas, and inside the FrameGuard so the frame roots
+      // the cells the observer inspects.
+      if (!Core.leaveFrame(R ? &*R : nullptr, 1,
+                           Call ? Call->loc() : SourceLoc::invalid()))
         R = std::nullopt;
-      }
     }
     if (!R || !Core.closeArenas(Arenas, *R))
       return std::nullopt;

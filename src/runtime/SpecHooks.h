@@ -36,14 +36,10 @@ public:
 
   /// Control entered the given branch expression of an `if`. The
   /// tree-walker reports every branch; the VM reports only guarded
-  /// branches (via the guard.spec opcode, which calls guardReached
-  /// directly). A speculative runtime deopts here when the branch is
-  /// one a speculation assumed cold.
+  /// branches, through the guard.spec opcode materialized at their
+  /// entry. A speculative runtime deopts here when the branch is one a
+  /// speculation assumed cold.
   virtual void branchEntered(uint32_t BranchExprId) { (void)BranchExprId; }
-
-  /// A guard.spec opcode fired: the VM entered the pruned branch guard
-  /// \p GuardIndex materializes.
-  virtual void guardReached(uint32_t GuardIndex) { (void)GuardIndex; }
 
   /// Whether the speculative directive with the given SpecIndex is
   /// still armed (its guard has not failed). Asked by the runtime core

@@ -26,15 +26,8 @@ SpecRuntime::SpecRuntime(const SpecPlan &Plan, SpecInjection Inject)
 }
 
 void SpecRuntime::branchEntered(uint32_t BranchExprId) {
-  auto It = Plan.GuardsByBranch.find(BranchExprId);
-  if (It == Plan.GuardsByBranch.end())
+  if (!Plan.GuardsByBranch.count(BranchExprId))
     return;
-  guardReached(It->second);
-}
-
-void SpecRuntime::guardReached(uint32_t GuardIndex) {
-  (void)GuardIndex;
-  assert(GuardIndex < Plan.Specs.size() && "guard index out of range");
   ++Stats.GuardHits;
   if (!Deopted)
     deopt(/*Injected=*/false);

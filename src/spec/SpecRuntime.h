@@ -82,7 +82,6 @@ public:
   //===--- SpecHooks ----------------------------------------------------==//
 
   void branchEntered(uint32_t BranchExprId) override;
-  void guardReached(uint32_t GuardIndex) override;
   bool directiveArmed(int32_t SpecIndex) override {
     (void)SpecIndex;
     return !Deopted;

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace eal {
@@ -39,7 +40,8 @@ enum class Opcode : uint8_t {
   PushPrim,    ///< push the interned primitive closure PrimRefs[A]
   LoadSlot,    ///< push env[depth A][slot B]
   MakeClosure, ///< push closure of proto A capturing the current frame
-  Call,        ///< call with A args; B pending arenas attach to the callee
+  Call,        ///< call with A args; B pending arenas attach to the callee;
+               ///< Imm = the spine's AppExpr id (activation reports)
   Return,      ///< return top of stack from the current frame
   Jump,        ///< ip += A (relative to the next instruction)
   JumpIfFalse, ///< pop condition; jump if false
@@ -62,11 +64,11 @@ enum class Opcode : uint8_t {
   LocalLocalPrim, ///< push locals A>>16 and A&0xffff, then prim Imm @ B
 
   /// Speculative-tier deopt guard (src/spec, docs/SPECULATION.md):
-  /// control reached a branch the speculation assumed cold. Reports
-  /// guard A to SpecHooks::guardReached, which runs the deopt protocol;
-  /// with no hooks attached it is a no-op. Materialized at the top of
-  /// the guarded branch's code, so it also bars superinstruction fusion
-  /// across the branch entry.
+  /// control reached a branch the speculation assumed cold. Reports the
+  /// branch (B = its expr id) to SpecHooks::branchEntered, which runs the
+  /// deopt protocol; A is the guard index. With no hooks attached it is
+  /// a no-op. Materialized at the top of the guarded branch's code, so it
+  /// also bars superinstruction fusion across the branch entry.
   GuardSpec,
 };
 
@@ -90,6 +92,7 @@ struct Proto {
   unsigned Arity = 0;
   std::vector<Instr> Code;
   std::string Name; ///< for disassembly and diagnostics
+  const LambdaExpr *Lambda = nullptr; ///< the chain's outermost; null: entry
   /// Frame flattening: the frame-escape analysis proved no binding of
   /// this proto is captured by a nested closure, so parameters live as
   /// value-stack slots (LoadLocal) and calls allocate no EnvFrame.
@@ -115,6 +118,8 @@ struct Chunk {
     uint32_t Site;
   };
   std::vector<PrimRef> PrimRefs;
+  /// The AppExpr of each Call/TailCall Imm, for activation reports.
+  std::unordered_map<uint32_t, const AppExpr *> CallSites;
 
   /// Total instruction count (a size metric).
   size_t instructionCount() const {

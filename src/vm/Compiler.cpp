@@ -187,8 +187,8 @@ private:
     if (SpecGuards) [[unlikely]] {
       auto GuardIt = SpecGuards->find(E->id());
       if (GuardIt != SpecGuards->end()) {
-        emit(B, {Opcode::GuardSpec,
-                 static_cast<int32_t>(GuardIt->second), 0, 0}, 0);
+        emit(B, {Opcode::GuardSpec, static_cast<int32_t>(GuardIt->second),
+                 E->id(), 0}, 0);
         B.Barrier = B.Code.size();
         Out.Protos[CurProto].SpecGuards.push_back(GuardIt->second);
       }
@@ -347,8 +347,9 @@ private:
       }
     }
     emit(B, {Tail ? Opcode::TailCall : Opcode::Call,
-             static_cast<int32_t>(Args.size()), NumPending, 0},
+             static_cast<int32_t>(Args.size()), NumPending, Call->id()},
          -static_cast<int>(Args.size()));
+    Out.CallSites.emplace(Call->id(), Call);
     return true;
   }
 
@@ -366,6 +367,7 @@ private:
     Out.Protos[ProtoIdx].Arity = static_cast<unsigned>(Params.size());
     Out.Protos[ProtoIdx].Name = std::move(Name);
     Out.Protos[ProtoIdx].FlatFrame = Flat;
+    Out.Protos[ProtoIdx].Lambda = cast<LambdaExpr>(E);
 
     unsigned SavedProto = CurProto;
     int SavedDepth = Depth;

@@ -63,7 +63,7 @@ Vm::Vm(const Chunk &C, DiagnosticEngine &Diags, Options Opts)
 }
 
 bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
-                    std::vector<size_t> Arenas) {
+                    std::vector<size_t> Arenas, uint32_t Site, size_t Owed) {
   for (;;) {
     if (!Callee.isClosure())
       return Core.error("applied a non-function value");
@@ -83,12 +83,13 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
         return false;
       Args.erase(Args.begin(), Args.begin() + Consumed);
       if (Args.empty()) {
-        if (!Core.closeArenas(Arenas, *R))
+        if (!Core.endActivations(&*R, Owed) || !Core.closeArenas(Arenas, *R))
           return false;
         Stack.push_back(*R);
         return true;
       }
       Callee = *R;
+      Site = NoSite;
       continue;
     }
 
@@ -105,7 +106,7 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
       assert(Arenas.empty() &&
              "arena directive on a call whose callee is partial");
       Stack.push_back(RtValue::makeClosure(Next));
-      return true;
+      return Core.endActivations(&Stack.back(), Owed);
     }
 
     // Saturated: the parameters go on the operand stack, the rest of the
@@ -117,17 +118,36 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
     Stack.insert(Stack.end(), Args.begin(), Args.begin() + Need);
     activate(*Closure, Base, std::move(Arenas),
              std::vector<RtValue>(Args.begin() + Need, Args.end()),
-             /*Replace=*/false);
+             /*Replace=*/false, Site, Owed + 1);
     return true;
   }
 }
 
+EngineCore::Activation Vm::activation(const RtClosure &Closure,
+                                      uint32_t Site) const {
+  const Proto &P = C.Protos[Closure.ProtoIdx];
+  const LambdaExpr *Fn = P.Lambda;
+  for (size_t I = 0; I != Closure.Partial.size(); ++I)
+    Fn = cast<LambdaExpr>(Fn->body());
+  auto It = C.CallSites.find(Site);
+  return {Fn, It == C.CallSites.end() ? nullptr : It->second,
+          std::span(Stack).last(P.Arity - Closure.Partial.size())};
+}
+
 void Vm::activate(const RtClosure &Closure, size_t Base,
                   std::vector<size_t> &&Arenas,
-                  std::vector<RtValue> &&Pending, bool Replace) {
+                  std::vector<RtValue> &&Pending, bool Replace,
+                  uint32_t Site, size_t Exits) {
   const Proto &P = C.Protos[Closure.ProtoIdx];
+  uint32_t Key = static_cast<uint32_t>(Closure.ProtoIdx);
+  // Reported first, while the arguments still lie on the stack top.
+  EngineCore::Activation A;
+  if (Core.Opts.Observer) [[unlikely]]
+    A = activation(Closure, Site);
+  Core.enterFrame(Key, A, Replace);
   size_t First = Stack.size() - P.Arity;
-  CallFrame CF{&P, 0, nullptr, Base, std::move(Arenas), std::move(Pending)};
+  CallFrame CF{&P, 0, nullptr, Base, std::move(Arenas), std::move(Pending),
+               Exits};
   if (P.FlatFrame) {
     // Parameters live on the operand stack from the frame base: slide
     // them down over what lies below them (the callee, or the replaced
@@ -145,16 +165,13 @@ void Vm::activate(const RtClosure &Closure, size_t Base,
     Stack.resize(Base);
     CF.Env = std::move(Frame);
   }
-  uint32_t Key = static_cast<uint32_t>(Closure.ProtoIdx);
   if (Replace) {
     Frames.back() = std::move(CF);
-    Core.replaceFrame(Key);
     return;
   }
   Frames.push_back(std::move(CF));
   if (Frames.size() > Core.Stats.PeakCallFrames)
     Core.Stats.PeakCallFrames = Frames.size();
-  Core.enterFrame(Key);
 }
 
 bool Vm::doPrim(PrimOp Op, uint32_t Site) {
@@ -274,7 +291,7 @@ bool Vm::doPrim(PrimOp Op, uint32_t Site) {
   return true;
 }
 
-bool Vm::doCall(size_t N, uint32_t NumPending, bool Tail) {
+bool Vm::doCall(size_t N, uint32_t NumPending, bool Tail, uint32_t Site) {
   CallFrame &Frame = Frames.back();
   assert(Stack.size() >= Frame.StackBase + N + 1 && "stack underflow");
   // An over-application continuation is pinned to this frame; the code
@@ -306,18 +323,21 @@ bool Vm::doCall(size_t N, uint32_t NumPending, bool Tail) {
     assert(Closure->ProtoIdx >= 0 && "interpreter closure inside the VM");
     if (C.Protos[Closure->ProtoIdx].Arity == N) {
       ++Core.Stats.Applications;
-      activate(*Closure, Base, std::move(Arenas), {}, Tail);
+      activate(*Closure, Base, std::move(Arenas), {}, Tail, Site,
+               Tail ? Frame.Exits + 1 : 1);
       return true;
     }
   }
 
   std::vector<RtValue> Args(Stack.end() - N, Stack.end());
   Stack.resize(Base);
+  // A replaced frame's activations end with the value applyValue delivers.
+  size_t Owed = Tail ? Frame.Exits : 0;
   if (Tail) {
     Frames.pop_back();
-    Core.leaveFrame();
+    Core.leaveFrame(nullptr, 0);
   }
-  return applyValue(Callee, std::move(Args), std::move(Arenas));
+  return applyValue(Callee, std::move(Args), std::move(Arenas), Site, Owed);
 }
 
 bool Vm::doReturn() {
@@ -325,12 +345,14 @@ bool Vm::doReturn() {
   RtValue Result = Stack.back();
   CallFrame Finished = std::move(Frames.back());
   Frames.pop_back();
-  Core.leaveFrame();
+  size_t Owed = Finished.Pending.empty() ? 0 : Finished.Exits - 1;
+  if (!Core.leaveFrame(&Result, Finished.Exits - Owed))
+    return false;
   Stack.resize(Finished.StackBase);
   if (!Core.closeArenas(Finished.Arenas, Result))
     return false;
   if (!Finished.Pending.empty())
-    return applyValue(Result, std::move(Finished.Pending), {});
+    return applyValue(Result, std::move(Finished.Pending), {}, NoSite, Owed);
   Stack.push_back(Result);
   return true;
 }
@@ -343,7 +365,7 @@ std::optional<RtValue> Vm::run() {
                              std::make_shared<EnvFrame>(), 0, {}, {}});
   Core.Stats.PeakCallFrames =
       std::max<uint64_t>(Core.Stats.PeakCallFrames, 1);
-  Core.enterFrame(C.Entry);
+  Core.enterFrame(C.Entry, {});
   Frames.reserve(64);
   Stack.reserve(256);
 
@@ -475,14 +497,16 @@ std::optional<RtValue> Vm::run() {
   VM_OP(Call) {
     VM_SAVE(); // the callee's Return resumes the caller here
     Core.Stats.Steps = Steps;
-    if (!doCall(static_cast<size_t>(In->A), In->B, /*Tail=*/false))
+    if (!doCall(static_cast<size_t>(In->A), In->B, /*Tail=*/false,
+                static_cast<uint32_t>(In->Imm)))
       VM_FAIL();
     VM_NEXT();
   }
   VM_OP(TailCall) {
     VM_SAVE(); // doCall falls back to a plain call when pendings exist
     Core.Stats.Steps = Steps;
-    if (!doCall(static_cast<size_t>(In->A), In->B, /*Tail=*/true))
+    if (!doCall(static_cast<size_t>(In->A), In->B, /*Tail=*/true,
+                static_cast<uint32_t>(In->Imm)))
       VM_FAIL();
     VM_NEXT();
   }
@@ -569,7 +593,7 @@ std::optional<RtValue> Vm::run() {
   }
   VM_OP(GuardSpec) {
     if (Core.Opts.Spec) [[unlikely]]
-      Core.Opts.Spec->guardReached(static_cast<uint32_t>(In->A));
+      Core.Opts.Spec->branchEntered(In->B);
     VM_NEXT_FAST();
   }
   VM_OP(StashArena) {

@@ -150,8 +150,9 @@ TEST(Oracle, ExportsMetricsCounters) {
 }
 
 TEST(Oracle, ForcesTreeWalkerEngine) {
-  // The observer hooks live in the interpreter; asking for the VM with
-  // --oracle must still produce an oracle report (and a correct value).
+  // Named for what --oracle once did to the engine flag; the oracle now
+  // runs on the VM asked for here (RunsOnRequestedEngine), and must
+  // still produce an oracle report and a correct value.
   PipelineOptions Options;
   Options.RunOracle = true;
   Options.Engine = ExecutionEngine::Bytecode;
@@ -160,6 +161,36 @@ TEST(Oracle, ForcesTreeWalkerEngine) {
   EXPECT_EQ(R.RenderedValue, "[1, 2, 3, 4, 5, 7]");
   ASSERT_TRUE(R.Check && R.Check->Oracle);
   EXPECT_GT(R.Check->Oracle->CellsTracked, 0u);
+}
+
+TEST(Oracle, RunsOnRequestedEngine) {
+  // Both engines report activations through the runtime core, so the
+  // oracle runs on the engine asked for and counts exactly what the
+  // tree-walker counts.
+  PipelineResult R[2];
+  for (int I = 0; I != 2; ++I) {
+    PipelineOptions Options;
+    Options.RunOracle = true;
+    Options.Engine =
+        I ? ExecutionEngine::Bytecode : ExecutionEngine::TreeWalker;
+    R[I] = runPipeline(test::partitionSortSource(), Options);
+    ASSERT_TRUE(R[I].Success) << R[I].diagnostics();
+    ASSERT_TRUE(R[I].Check && R[I].Check->Oracle);
+  }
+  EXPECT_NE(R[1].TheVm, nullptr);
+  EXPECT_EQ(R[1].Interp, nullptr);
+  EXPECT_EQ(R[1].RenderedValue, R[0].RenderedValue);
+  const check::OracleReport &Tree = *R[0].Check->Oracle;
+  const check::OracleReport &Vm = *R[1].Check->Oracle;
+  EXPECT_GT(Vm.ClaimsChecked, 0u);
+  EXPECT_EQ(Vm.Activations, Tree.Activations);
+  EXPECT_EQ(Vm.ClaimsChecked, Tree.ClaimsChecked);
+  EXPECT_EQ(Vm.CellsTracked, Tree.CellsTracked);
+  EXPECT_EQ(Vm.HeapCellsEscaped, Tree.HeapCellsEscaped);
+  EXPECT_EQ(Vm.HeapCellsUnescaped, Tree.HeapCellsUnescaped);
+  EXPECT_EQ(Vm.ImpreciseClaims, Tree.ImpreciseClaims);
+  EXPECT_EQ(Vm.AliasExemptions, Tree.AliasExemptions);
+  EXPECT_EQ(Vm.Violations.size(), 0u);
 }
 
 } // namespace

@@ -14,12 +14,24 @@
 // replayed --record stream counts the same arena events on both, also
 // when the run fails: a failed run frees every arena it opened.
 //
+// Activation begins and ends ride the same channel, and the runtime core
+// (runtime/EngineCore.h) is their one source on both engines. The VM
+// binds a whole lambda chain at once, reuses a frame on a tail call and
+// applies an over-application's remaining arguments from its frame, yet
+// it must report exactly the activations the tree-walker reports, in the
+// same nesting: a recording observer's log (lambda, direct call site,
+// argument count; result) must be identical on both engines, over every
+// shipped example under each optimization configuration and over
+// generated programs. A run the step budget stops must still end every
+// activation it began, with a null result.
+//
 //===----------------------------------------------------------------------===//
 
 #include "ProgramGenerator.h"
 
 #include "driver/Pipeline.h"
 #include "obs/Timeline.h"
+#include "runtime/ValuePrinter.h"
 
 #include <gtest/gtest.h>
 
@@ -266,5 +278,154 @@ TEST_P(ChannelParitySeeds, GeneratedProgramOnBothEngines) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChannelParitySeeds, ::testing::Range(1u, 65u));
+
+/// Logs one line per activation begin and end, checking the bracketing.
+struct ActivationLog final : public ExecutionObserver {
+  std::vector<std::string> Lines;
+  size_t Open = 0;
+  size_t Entries = 0;
+  size_t NullExits = 0;
+  bool Unbalanced = false;
+
+  void activationEntered(const LambdaExpr *Fn, const AppExpr *CallSite,
+                         std::span<const RtValue> Args) override {
+    ++Open;
+    ++Entries;
+    Lines.push_back("enter " + std::to_string(Fn->id()) + " site " +
+                    (CallSite ? std::to_string(CallSite->id()) : "-") +
+                    " args " + std::to_string(Args.size()));
+  }
+  bool activationExited(const RtValue *Result) override {
+    Unbalanced |= Open == 0;
+    --Open;
+    NullExits += Result == nullptr;
+    Lines.push_back("exit " + (Result ? renderValue(*Result, 8) : "null"));
+    return true;
+  }
+};
+
+/// The first line where \p A and \p B differ, with its neighbours.
+std::string firstDifference(const ActivationLog &A, const ActivationLog &B) {
+  size_t N = std::min(A.Lines.size(), B.Lines.size());
+  size_t I = 0;
+  while (I != N && A.Lines[I] == B.Lines[I])
+    ++I;
+  std::ostringstream OS;
+  OS << "logs of " << A.Lines.size() << " and " << B.Lines.size()
+     << " lines first differ at line " << I << ":\n";
+  for (size_t J = I > 3 ? I - 3 : 0; J != std::min(I + 3, N + 1); ++J)
+    OS << "  " << (J < A.Lines.size() ? A.Lines[J] : "<end>") << "  |  "
+       << (J < B.Lines.size() ? B.Lines[J] : "<end>") << '\n';
+  return OS.str();
+}
+
+/// Runs \p Options on both engines with a recording observer attached and
+/// expects identical, balanced logs. Returns the number of activations.
+size_t expectActivationParity(const std::string &Source,
+                              PipelineOptions Options,
+                              const std::string &Label) {
+  ActivationLog Logs[2];
+  for (int I = 0; I != 2; ++I) {
+    Options.Engine =
+        I ? ExecutionEngine::Bytecode : ExecutionEngine::TreeWalker;
+    Options.Run.Observer = &Logs[I];
+    PipelineResult R = runPipeline(Source, Options);
+    EXPECT_TRUE(R.Success) << Label << ":\n" << R.diagnostics();
+    EXPECT_FALSE(Logs[I].Unbalanced) << Label;
+    EXPECT_EQ(Logs[I].Open, 0u) << Label;
+    EXPECT_EQ(Logs[I].NullExits, 0u) << Label;
+  }
+  EXPECT_TRUE(Logs[0].Lines == Logs[1].Lines)
+      << "ENGINES DISAGREE ON THE ACTIVATION CHANNEL: " << Label << '\n'
+      << firstDifference(Logs[0], Logs[1]);
+  return Logs[0].Entries;
+}
+
+TEST(ActivationParity, EveryExampleInEveryConfigOnBothEngines) {
+  auto Files = exampleFiles();
+  ASSERT_FALSE(Files.empty());
+  // default, --no-reuse, --whole-object, --no-stack --no-region
+  for (int Config = 0; Config != 4; ++Config)
+    for (const auto &Path : Files) {
+      std::string Source = slurp(Path);
+      PipelineOptions Options;
+      // stats.nml documents itself as a prelude program in its header.
+      Options.IncludeStdlib = Source.find("--stdlib") != std::string::npos;
+      Options.Optimize.EnableReuse = Config != 1;
+      if (Config == 2)
+        Options.Optimize.Analysis = EscapeAnalysisMode::WholeObject;
+      Options.Optimize.EnableStack = Options.Optimize.EnableRegion =
+          Config != 3;
+      std::string Label =
+          Path.filename().string() + " config " + std::to_string(Config);
+      EXPECT_GT(expectActivationParity(Source, Options, Label), 0u) << Path;
+    }
+}
+
+TEST(ActivationParity, TailAndOverApplicationShapes) {
+  // Each binding reaches one of the VM's call shapes: twice tail-calls a
+  // partially applied closure, over tail-calls pick with two arguments
+  // too many (applied to the closure pick returns), viaprim tail-calls a
+  // primitive value, viafst applies the closure a primitive returns (not
+  // the spine's direct callee), partial tail-calls add with one argument
+  // too few, and loop replaces its own frame.
+  const char *Source = R"(
+letrec
+  add a b = a + b;
+  twice f x = f (f x);
+  pick b = if b then add else add;
+  over x = pick true x 2;
+  viaprim f = f 1 nil;
+  viafst p = fst p 3 4;
+  partial x = add x;
+  loop n acc = if n = 0 then acc else loop (n - 1) (acc + over n)
+in (twice (add 5) 1,
+    (loop 3 0, (viaprim cons, (viafst (add, 0), partial 4 5))))
+)";
+  EXPECT_GT(expectActivationParity(Source, PipelineOptions(), "call shapes"),
+            0u);
+}
+
+TEST(ActivationParity, StepBudgetEndsEveryOpenActivation) {
+  // Stopped deep in a plain recursion and deep in a tail-call loop: the
+  // VM holds the loop's activations in one frame, whose ends the runtime
+  // core reports when the run ends.
+  const char *Sources[] = {
+      "letrec down n = if n = 0 then 0 else 1 + down (n - 1) in down 100000",
+      "letrec loop n acc = if n = 0 then acc else loop (n - 1) (acc + 1) "
+      "in loop 100000 0"};
+  for (const char *Source : Sources)
+    for (ExecutionEngine E :
+         {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode}) {
+      ActivationLog Log;
+      PipelineOptions Options;
+      Options.Engine = E;
+      Options.Run.MaxSteps = 2000;
+      Options.Run.Observer = &Log;
+      PipelineResult R = runPipeline(Source, Options);
+      EXPECT_FALSE(R.Success) << Source;
+      EXPECT_NE(R.diagnostics().find("step budget"), std::string::npos)
+          << R.diagnostics();
+      EXPECT_GT(Log.Entries, 10u) << Source;
+      EXPECT_FALSE(Log.Unbalanced) << Source;
+      EXPECT_EQ(Log.Open, 0u) << Source;
+      EXPECT_EQ(Log.NullExits, Log.Entries) << Source;
+    }
+}
+
+class ActivationParitySeeds : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ActivationParitySeeds, GeneratedProgramOnBothEngines) {
+  ProgramGenerator Gen(GetParam());
+  GenProgram Prog = Gen.generate(3);
+  PipelineOptions Options;
+  Options.Mode = TypeInferenceMode::Monomorphic;
+  expectActivationParity(Prog.Source, Options,
+                         "seed " + std::to_string(GetParam()) + ":\n" +
+                             Prog.Source);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ActivationParitySeeds,
+                         ::testing::Range(1u, 257u));
 
 } // namespace

@@ -69,7 +69,7 @@ run_config() {
   (cd "$dir" && ctest --output-on-failure -j "$JOBS" -LE tier2)
   if [ "$name" = asan ]; then
     smoke "eal explain" explain_smoke "$dir"
-    smoke "eal check --oracle --live-oracle" check_smoke "$dir"
+    smoke "eal check --oracle --live-oracle, both engines," check_smoke "$dir"
     smoke "eal live" live_smoke "$dir"
     smoke "eal run --live-oracle, both engines," live_oracle_smoke "$dir"
     smoke "eal spec + forced deopt" spec_smoke "$dir"
@@ -116,17 +116,22 @@ explain_smoke() {
 }
 
 # Escape-oracle smoke: `eal check --oracle --live-oracle` over every
-# shipped example under ASan, each run round-tripping --check-json
-# through the eal-check-v1 schema checker (docs/CHECKING.md). Here one
-# escape analyzer, kept in the optimizer's result, serves the planner,
-# the site classifier and the oracle's claim table, so a reference that
-# outlives what it points into surfaces here.
+# shipped example under ASan on both engines, each run round-tripping
+# --check-json through the eal-check-v1 schema checker
+# (docs/CHECKING.md). Here one escape analyzer, kept in the optimizer's
+# result, serves the planner, the site classifier and the oracle's claim
+# table, so a reference that outlives what it points into surfaces here;
+# on the VM, so does a stale value among the activations it reports.
 check_smoke() {
-  local dir="$1" example="$2" json="$1/check-$3.json"
+  local dir="$1" example="$2" name="$3" engine json
   shift 3
-  "$dir/tools/eal" check "$example" "$@" --oracle --live-oracle \
-      --check-json="$json" >/dev/null
-  python3 "$CHECK_JSON" "$json"
+  for engine in "" --vm; do
+    json="$dir/check-$name$engine.json"
+    # shellcheck disable=SC2086
+    "$dir/tools/eal" check "$example" "$@" $engine --oracle --live-oracle \
+        --check-json="$json" >/dev/null
+    python3 "$CHECK_JSON" "$json"
+  done
 }
 
 # Heap-liveness smoke: `eal live` over every shipped example, each run

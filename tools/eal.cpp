@@ -69,7 +69,7 @@
 //   --oracle          execute under the dynamic escape oracle: every
 //                     static "does not escape" claim is verified against
 //                     the concrete heap; a refuted claim aborts the run.
-//                     Runs on the tree-walker, whatever the engine flag
+//                     Runs on the engine asked for (--vm or not)
 //   --check-json=FILE write findings + oracle counters as JSON
 //                     (schema eal-check-v1, tools/check_json.py)
 //
