@@ -54,11 +54,16 @@ ClaimTable eal::check::buildClaimTable(const AstContext &Ast,
 
 namespace {
 
-/// Everything reachable from \p V through cons/pair cells and closure
-/// environments. Iterative: result spines can be thousands of cells.
-void collectReachable(RtValue V, std::unordered_set<const ConsCell *> &Cells) {
+/// Everything reachable from \p V through cons/pair cells and closures.
+/// A closure exposes the values of its remaining lambda's free variables
+/// (cached in \p FreeVars), found by name among its partial arguments,
+/// else in its environment: what the program can read, whatever the
+/// engine's frame layout. Iterative: result spines can be long.
+void collectReachable(
+    RtValue V, std::unordered_set<const ConsCell *> &Cells,
+    std::unordered_map<const LambdaExpr *, std::vector<Symbol>> &FreeVars) {
   std::vector<RtValue> Work = {V};
-  std::unordered_set<const EnvFrame *> Frames;
+  std::unordered_set<const RtClosure *> Closures;
   while (!Work.empty()) {
     RtValue Cur = Work.back();
     Work.pop_back();
@@ -78,13 +83,29 @@ void collectReachable(RtValue V, std::unordered_set<const ConsCell *> &Cells) {
     }
     case RtValueKind::Closure: {
       const RtClosure *C = Cur.closure();
-      for (RtValue P : C->Partial)
-        Work.push_back(P);
-      for (const EnvFrame *F = C->Env.get(); F; F = F->Parent.get()) {
-        if (!Frames.insert(F).second)
-          break;
-        for (const auto &Slot : F->Slots)
-          Work.push_back(Slot.second);
+      if (!Closures.insert(C).second)
+        break;
+      if (C->IsPrim) { // a primitive reads every argument it holds
+        Work.insert(Work.end(), C->Partial.begin(), C->Partial.end());
+        break;
+      }
+      const LambdaExpr *Fn = C->Lambda;
+      for (size_t I = 0; I != C->Partial.size(); ++I)
+        Fn = cast<LambdaExpr>(Fn->body());
+      auto [It, Fresh] = FreeVars.try_emplace(Fn);
+      if (Fresh)
+        It->second = freeVariables(Fn);
+      for (Symbol Name : It->second) {
+        const RtValue *Value = nullptr;
+        const LambdaExpr *L = C->Lambda;
+        for (size_t I = 0; !Value && I != C->Partial.size(); ++I) {
+          Value = L->param() == Name ? &C->Partial[I] : nullptr;
+          L = cast<LambdaExpr>(L->body());
+        }
+        for (EnvFrame *F = C->Env.get(); !Value && F; F = F->Parent.get())
+          Value = F->find(Name);
+        if (Value)
+          Work.push_back(*Value);
       }
       break;
     }
@@ -166,7 +187,7 @@ void EscapeOracle::activationEntered(const LambdaExpr *Fn,
         if (J == Claim.ArgIndex)
           continue;
         std::unordered_set<const ConsCell *> Exposed;
-        collectReachable(Args[J], Exposed);
+        collectReachable(Args[J], Exposed, FreeVars);
         if (RoleProtected[J]) {
           // That role's own protected prefix may not escape either, so
           // it exempts nothing.
@@ -238,7 +259,7 @@ bool EscapeOracle::activationExited(const RtValue *Result) {
     return true; // unwinding on an error; nothing to classify
 
   std::unordered_set<const ConsCell *> Reach;
-  collectReachable(*Result, Reach);
+  collectReachable(*Result, Reach, FreeVars);
 
   bool Violated = false;
   for (const ClaimCheck &CC : A.Claims) {
@@ -270,7 +291,7 @@ void EscapeOracle::finalize(const RtValue *ProgramResult) {
     return;
   std::unordered_set<const ConsCell *> Reach;
   if (ProgramResult)
-    collectReachable(*ProgramResult, Reach);
+    collectReachable(*ProgramResult, Reach, FreeVars);
   classifyCells(Stack.front(), Reach);
   Stack.front().Cells.clear();
 }

@@ -144,6 +144,8 @@ private:
   /// Latest allocation site per cell slot (overwritten on reuse).
   std::unordered_map<const ConsCell *, std::pair<uint64_t, uint32_t>>
       LastAllocSite;
+  /// Free variables of each lambda a reachable closure applies.
+  std::unordered_map<const LambdaExpr *, std::vector<Symbol>> FreeVars;
 };
 
 } // namespace eal::check

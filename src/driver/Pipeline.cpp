@@ -10,6 +10,7 @@
 #include "check/LiveLint.h"
 #include "obs/Recorder.h"
 #include "driver/Stdlib.h"
+#include "lang/AstUtils.h"
 #include "lang/Lexer.h"
 #include "lang/Parser.h"
 #include "prof/Profiler.h"
@@ -178,29 +179,63 @@ void runPipelineImpl(const std::string &Source,
     R.Prov->exportTo(obs::globalMetrics());
 
   if (!Options.RunProgram && !Options.RunOracle && !Options.RunLiveOracle) {
-    if (Options.CompileBytecode) {
-      obs::PhaseTimer T(&R.PhaseMicros, "compile");
-      R.Code = compileToBytecode(*R.Ast, R.Optimized->Root,
-                                 &R.Optimized->Plan, *R.Diags);
-      if (!R.Code)
-        return;
-    }
     R.Success = !R.Diags->hasErrors();
     return;
   }
 
+  // The one place an engine is built and run, in R's slots: the spec
+  // pre-run and the measured run both execute on the engine asked for.
+  // The VM's chunk has a guard.spec at each branch Guards maps. Only the
+  // measured run (non-null Phases) times its phases and fills R.Stats.
+  // The dead-site set and the spec runtime exist only after the pre-run.
+  using GuardMap = std::unordered_map<uint32_t, uint32_t>;
+  const bool OnVm = Options.Engine == ExecutionEngine::Bytecode;
+  auto Execute = [&](const AllocationPlan *Plan, const GuardMap *Guards,
+                     DiagnosticEngine &Diags, const Interpreter::Options &Opts,
+                     obs::PhaseTimer::PhaseTimes *Phases)
+      -> std::optional<RtValue> {
+    std::optional<obs::PhaseTimer> T;
+    if (OnVm) {
+      if (Phases)
+        T.emplace(Phases, "compile");
+      R.Code = compileToBytecode(*R.Ast, R.Optimized->Root, Plan, Diags,
+                                 Guards);
+      if (!R.Code)
+        return std::nullopt;
+    }
+    if (Phases)
+      T.emplace(Phases, "heap-init");
+    if (OnVm)
+      R.TheVm = std::make_unique<Vm>(*R.Code, Diags, Opts);
+    else
+      R.Interp = std::make_unique<Interpreter>(*R.Ast, FinalTyped, Plan,
+                                               Diags, Opts);
+    Heap &TheHeap = OnVm ? R.TheVm->heap() : R.Interp->heap();
+    TheHeap.setDeadSites(R.LiveDeadSites.get());
+    if (R.SpecRT)
+      R.SpecRT->setHeap(&TheHeap);
+    if (!Phases)
+      return OnVm ? R.TheVm->run() : R.Interp->run();
+    T.emplace(Phases, "run");
+    std::optional<RtValue> Value = OnVm ? R.TheVm->run() : R.Interp->run();
+    R.Stats = OnVm ? R.TheVm->stats() : R.Interp->stats();
+    T->span().arg("steps", R.Stats.Steps);
+    T->span().arg("applications", R.Stats.Applications);
+    T->span().arg("heap_cells", R.Stats.HeapCellsAllocated);
+    return Value;
+  };
+
   Interpreter::Options RunOpts = Options.Run;
 
   if (Options.Spec.Enable) {
-    // Profiling pre-run (tree-walker: the branch hooks live there). nml
-    // is deterministic and takes no input, so this run's branch counts
-    // and per-site allocation counts are exact for the run below — the
-    // price of the tier is running the program twice. Scratch
-    // diagnostics: a pre-run failure (fuel, heap) just disables
-    // speculation; the real run will surface the error itself.
+    // Profiling pre-run. nml is deterministic and takes no input, so this
+    // run's branch counts and per-site allocation counts are exact for
+    // the run below — the price of the tier is running the program
+    // twice. Scratch diagnostics: a pre-run failure (fuel, heap) just
+    // disables speculation; the real run will surface the error itself.
     spec::BranchProfile Branches;
     prof::Profiler PreProfile;
-    std::optional<RtValue> PreValue;
+    bool PreRan = false;
     {
       obs::PhaseTimer T(&R.PhaseMicros, "spec-profile");
       DiagnosticEngine PreDiags;
@@ -210,13 +245,25 @@ void runPipelineImpl(const std::string &Source,
       PreOpts.Observer = &PreProfile;
       PreOpts.Profiler = nullptr;
       PreOpts.Spec = &Branches;
-      Interpreter Pre(*R.Ast, FinalTyped, &R.Optimized->Plan,
-                      PreDiags, PreOpts);
-      PreValue = Pre.run();
+      // The tree-walker reports every branch it enters; on the VM, a
+      // guard.spec at the top of every branch reports it the same way.
+      GuardMap EveryBranch;
+      forEachExpr(R.Optimized->Root, [&](const Expr *E) {
+        if (const auto *If = dyn_cast<IfExpr>(E))
+          for (const Expr *Branch : {If->thenExpr(), If->elseExpr()})
+            EveryBranch.emplace(Branch->id(), EveryBranch.size());
+      });
+      PreRan = Execute(&R.Optimized->Plan, &EveryBranch, PreDiags, PreOpts,
+                       nullptr)
+                   .has_value();
+      // Its engine refers to PreDiags and the profiles: release it.
+      R.TheVm.reset();
+      R.Code.reset();
+      R.Interp.reset();
       T.span().arg("branches",
                    static_cast<uint64_t>(Branches.numBranchesSeen()));
     }
-    if (PreValue) {
+    if (PreRan) {
       obs::PhaseTimer T(&R.PhaseMicros, "spec-plan");
       R.SpecPlan = spec::planSpeculation(*R.Ast, R.Optimized->Root,
                                          R.Optimized->Plan, Branches,
@@ -270,43 +317,10 @@ void runPipelineImpl(const std::string &Source,
   // analysis layers nest inside "optimize".
   {
     obs::PhaseTimer T(&R.PhaseMicros, "execute");
-    const bool OnVm = Options.Engine == ExecutionEngine::Bytecode;
     T.span().arg("engine", OnVm ? "bytecode" : "tree-walker");
-    if (OnVm) {
-      obs::PhaseTimer C(&R.PhaseMicros, "compile");
-      R.Code = compileToBytecode(
-          *R.Ast, R.Optimized->Root, ExecPlan, *R.Diags,
-          R.SpecRT ? &R.SpecPlan->GuardsByBranch : nullptr);
-      if (!R.Code)
-        return;
-    }
-    {
-      obs::PhaseTimer H(&R.PhaseMicros, "heap-init");
-      if (OnVm) {
-        R.TheVm = std::make_unique<Vm>(*R.Code, *R.Diags, RunOpts);
-      } else {
-        R.Interp = std::make_unique<Interpreter>(*R.Ast, FinalTyped, ExecPlan,
-                                                 *R.Diags, RunOpts);
-      }
-      Heap &TheHeap = OnVm ? R.TheVm->heap() : R.Interp->heap();
-      if (R.LiveDeadSites)
-        TheHeap.setDeadSites(R.LiveDeadSites.get());
-      if (R.SpecRT)
-        R.SpecRT->setHeap(&TheHeap);
-    }
-    {
-      obs::PhaseTimer Run(&R.PhaseMicros, "run");
-      if (OnVm) {
-        R.Value = R.TheVm->run();
-        R.Stats = R.TheVm->stats();
-      } else {
-        R.Value = R.Interp->run();
-        R.Stats = R.Interp->stats();
-      }
-      Run.span().arg("steps", R.Stats.Steps);
-      Run.span().arg("applications", R.Stats.Applications);
-      Run.span().arg("heap_cells", R.Stats.HeapCellsAllocated);
-    }
+    R.Value = Execute(ExecPlan,
+                      R.SpecRT ? &R.SpecPlan->GuardsByBranch : nullptr,
+                      *R.Diags, RunOpts, &R.PhaseMicros);
     T.span().arg("steps", R.Stats.Steps);
   }
   if (obs::metricsEnabled())

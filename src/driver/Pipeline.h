@@ -93,10 +93,6 @@ struct PipelineOptions {
   OptimizerConfig Optimize;
   /// Whether to execute the final program.
   bool RunProgram = true;
-  /// Compile the optimized program to bytecode even when it is not run
-  /// on the Bytecode engine (so `eal disasm` and tools can inspect
-  /// PipelineResult::Code without executing).
-  bool CompileBytecode = false;
   /// Which engine runs it.
   ExecutionEngine Engine = ExecutionEngine::TreeWalker;
   /// Engine knobs (heap size, fuel, arena validation, the profiler of
@@ -143,10 +139,10 @@ struct PipelineOptions {
   bool LiveGcPrune = false;
   /// The speculative tier (docs/SPECULATION.md). When enabled and the
   /// program is executed, the pipeline first runs a profiling pre-run on
-  /// the tree-walker (nml is deterministic with no input, so the pre-run
-  /// *is* the real run), then plans guarded speculative directives for
-  /// profile-cold branches and executes the merged plan with a
-  /// spec::SpecRuntime attached. Requires execution; ignored for
+  /// the chosen engine (nml is deterministic with no input, so the
+  /// pre-run *is* the real run), then plans guarded speculative
+  /// directives for profile-cold branches and executes the merged plan
+  /// with a spec::SpecRuntime attached. Requires execution; ignored for
   /// plan-only invocations.
   /// The planner's thresholds are the inherited SpecPlannerOptions.
   struct SpeculationOptions : spec::SpecPlannerOptions {
@@ -226,9 +222,8 @@ struct PipelineResult {
   /// pre-pass; parsing lexes on the fly). Two phases nest others and
   /// overlap them: "escape", "sharing", "retype", "final-escape" and
   /// "plan" come from inside "optimize", and "compile" (VM only),
-  /// "heap-init" and "run" from inside "execute". Without execution, a
-  /// "compile" entry (disasm) is top level. The top-level entries sum to
-  /// nearly the whole runPipeline wall time.
+  /// "heap-init" and "run" from inside "execute". The top-level entries
+  /// sum to nearly the whole runPipeline wall time.
   obs::PhaseTimer::PhaseTimes PhaseMicros;
 
   /// Failures of the ObservabilityOptions exports ("cannot write

@@ -58,8 +58,9 @@ struct OptimizerConfig {
 /// Everything the pipeline produces. Movable: FinalAnalyzer refers to
 /// *Typed, and both live on the heap, so their addresses survive a move.
 struct OptimizedProgram {
-  /// The final AST (transformed, or the original root if reuse was
-  /// disabled / found nothing).
+  /// The final AST: the original root when reuse is disabled or the
+  /// root is not a letrec; otherwise ReuseTransform's new root, a plain
+  /// clone when it found nothing to reuse.
   const Expr *Root = nullptr;
   /// Types for the final AST.
   std::unique_ptr<TypedProgram> Typed;

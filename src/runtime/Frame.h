@@ -41,8 +41,8 @@ struct EnvFrame {
 
 using EnvPtr = std::shared_ptr<EnvFrame>;
 
-/// A runtime function value: a user closure (interpreter: Lambda set;
-/// VM: ProtoIdx >= 0) or a (possibly partially applied) primitive.
+/// A runtime function value: a user closure (Lambda set; VM: its proto's
+/// chain, and ProtoIdx >= 0) or a (possibly partially applied) primitive.
 struct RtClosure {
   const LambdaExpr *Lambda = nullptr;
   /// Compiled-code closures reference a proto of the running chunk.

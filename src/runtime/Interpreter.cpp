@@ -47,10 +47,6 @@ private:
 } // namespace
 
 Interpreter::Interpreter(const AstContext &Ast, const TypedProgram &Program,
-                         const AllocationPlan *Plan, DiagnosticEngine &Diags)
-    : Interpreter(Ast, Program, Plan, Diags, Options()) {}
-
-Interpreter::Interpreter(const AstContext &Ast, const TypedProgram &Program,
                          const AllocationPlan *Plan, DiagnosticEngine &Diags,
                          Options Opts)
     : Ast(Ast), Program(Program), Plan(Plan),
@@ -333,43 +329,6 @@ std::optional<RtValue> Interpreter::run() {
   EnvPtr Root = std::make_shared<EnvFrame>();
   FrameGuard Active(ActiveFrames, Root.get());
   return Core.endRun(eval(Program.root(), Root));
-}
-
-std::optional<RtValue>
-Interpreter::callBinding(Symbol Fn, std::span<const Expr *const> Args,
-                         std::vector<RtValue> *ArgValues) {
-  Core.Failed = false;
-  const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
-  if (!Letrec) {
-    Core.error("callBinding requires a letrec program");
-    return Core.endRun(std::nullopt);
-  }
-  EnvPtr Root = std::make_shared<EnvFrame>();
-  FrameGuard ActiveRoot(ActiveFrames, Root.get());
-  EnvPtr Frame = bindLetrec(Letrec, Root);
-  if (!Frame)
-    return Core.endRun(std::nullopt);
-  FrameGuard Active(ActiveFrames, Frame.get());
-
-  RtValue *FnSlot = Frame->find(Fn);
-  if (!FnSlot) {
-    Core.error("callBinding: no such binding");
-    return Core.endRun(std::nullopt);
-  }
-
-  ShadowGuard Rooted(ShadowStack);
-  std::vector<RtValue> Values;
-  for (const Expr *Arg : Args) {
-    std::optional<RtValue> V = eval(Arg, Frame);
-    if (!V)
-      return Core.endRun(std::nullopt);
-    Rooted.push(*V);
-    Values.push_back(*V);
-  }
-  if (ArgValues)
-    *ArgValues = Values;
-  return Core.endRun(
-      applyValues(*FnSlot, Values, std::vector<size_t>(), nullptr));
 }
 
 std::optional<RtValue> Interpreter::runOnLargeStack() {

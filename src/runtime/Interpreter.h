@@ -42,10 +42,8 @@ public:
   /// \p Plan may be null (everything heap-allocated, no reuse semantics
   /// change — DCONS still executes destructively if present in the AST).
   Interpreter(const AstContext &Ast, const TypedProgram &Program,
-              const AllocationPlan *Plan, DiagnosticEngine &Diags);
-  Interpreter(const AstContext &Ast, const TypedProgram &Program,
               const AllocationPlan *Plan, DiagnosticEngine &Diags,
-              Options Opts);
+              Options Opts = Options());
 
   /// Evaluates the program root. Returns nullopt after a diagnostic on
   /// runtime errors.
@@ -54,15 +52,6 @@ public:
   /// Like run(), but on a 512 MB stack (support/LargeStack.h): deep nml
   /// recursion (long lists) needs more than the default.
   std::optional<RtValue> runOnLargeStack();
-
-  /// Oracle support: with a top-level-letrec program, evaluates the
-  /// bindings, then applies binding \p Fn to \p Args (evaluated in the
-  /// top-level environment). When \p ArgValues is non-null it receives
-  /// the evaluated argument values, so tests can tag their cells and
-  /// check reachability from the result against the escape analysis.
-  std::optional<RtValue> callBinding(Symbol Fn,
-                                     std::span<const Expr *const> Args,
-                                     std::vector<RtValue> *ArgValues);
 
   const RuntimeStats &stats() const { return Core.Stats; }
   RuntimeStats &stats() { return Core.Stats; }

@@ -35,9 +35,10 @@ public:
   virtual ~SpecHooks() = default;
 
   /// Control entered the given branch expression of an `if`. The
-  /// tree-walker reports every branch; the VM reports only guarded
-  /// branches, through the guard.spec opcode materialized at their
-  /// entry. A speculative runtime deopts here when the branch is one a
+  /// tree-walker reports every branch; the VM reports the branches its
+  /// chunk guards, through the guard.spec opcode materialized at their
+  /// entry (every branch in the profiling pre-run's chunk). A
+  /// speculative runtime deopts here when the branch is one a
   /// speculation assumed cold.
   virtual void branchEntered(uint32_t BranchExprId) { (void)BranchExprId; }
 

@@ -39,10 +39,11 @@ class Profiler;
 
 namespace spec {
 
-/// Counts if-branch entries during the profiling pre-run. The
-/// tree-walking interpreter reports every chosen branch through
-/// SpecHooks::branchEntered; nml is deterministic with no input, so the
-/// counts are exact for the real run, not a sample of it.
+/// Counts if-branch entries during the profiling pre-run. Either engine
+/// reports every chosen branch through SpecHooks::branchEntered (the VM
+/// from a guard.spec at the top of each branch); nml is deterministic
+/// with no input, so the counts are exact for the real run, not a
+/// sample of it.
 class BranchProfile : public SpecHooks {
 public:
   void branchEntered(uint32_t BranchExprId) override {

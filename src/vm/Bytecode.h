@@ -46,7 +46,8 @@ enum class Opcode : uint8_t {
   Jump,        ///< ip += A (relative to the next instruction)
   JumpIfFalse, ///< pop condition; jump if false
   Prim,        ///< saturated primitive A (pops arity args); B = site id
-  EnterScope,  ///< push an env frame with A empty slots; B = 1 if letrec
+  EnterScope,  ///< push an env frame with A empty slots named
+               ///< SlotNames[Imm...]; B = 1 if letrec
   StoreSlot,   ///< pop into slot A of the current frame
   LeaveScope,  ///< pop the current env frame
   BeginArena,  ///< activate a fresh arena for plan directive A
@@ -120,6 +121,9 @@ struct Chunk {
   std::vector<PrimRef> PrimRefs;
   /// The AppExpr of each Call/TailCall Imm, for activation reports.
   std::unordered_map<uint32_t, const AppExpr *> CallSites;
+  /// Each EnterScope's slot names, from its Imm on (the escape oracle
+  /// reads a closure's free variables by name).
+  std::vector<Symbol> SlotNames;
 
   /// Total instruction count (a size metric).
   size_t instructionCount() const {

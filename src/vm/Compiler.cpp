@@ -261,7 +261,7 @@ private:
           emit(B, {Opcode::Slide, 1, 0, 0}, -1);
         return true;
       }
-      emit(B, {Opcode::EnterScope, 1, 0, 0}, 0);
+      emit(B, {Opcode::EnterScope, 1, 0, slotNames({Let->name()})}, 0);
       emit(B, {Opcode::StoreSlot, 0, 0, 0}, -1);
       Scopes.push_back({Scope::Frame, {Let->name()}, {}, CurProto});
       bool Ok = compileExpr(Let->body(), B, Tail);
@@ -277,11 +277,11 @@ private:
       // capture the frame to reach their siblings and themselves.
       const auto *Letrec = cast<LetrecExpr>(E);
       auto Bindings = Letrec->bindings();
-      emit(B, {Opcode::EnterScope,
-               static_cast<int32_t>(Bindings.size()), 1, 0}, 0);
       Scope S{Scope::Frame, {}, {}, CurProto};
       for (const LetrecBinding &Binding : Bindings)
         S.Names.push_back(Binding.Name);
+      emit(B, {Opcode::EnterScope, static_cast<int32_t>(Bindings.size()), 1,
+               slotNames(S.Names)}, 0);
       Scopes.push_back(std::move(S));
       bool Ok = true;
       for (size_t I = 0; Ok && I != Bindings.size(); ++I) {
@@ -394,6 +394,12 @@ private:
       return std::nullopt;
     Out.Protos[ProtoIdx].Code = std::move(B.Code);
     return ProtoIdx;
+  }
+
+  /// Appends an EnterScope's slot names; returns where they start.
+  int64_t slotNames(const std::vector<Symbol> &Names) {
+    Out.SlotNames.insert(Out.SlotNames.end(), Names.begin(), Names.end());
+    return static_cast<int64_t>(Out.SlotNames.size() - Names.size());
   }
 
   size_t directiveIndex(const ArgArenaDirective *D) {

@@ -35,8 +35,6 @@ using namespace eal;
 #define EAL_VM_THREADED 0
 #endif
 
-Vm::Vm(const Chunk &C, DiagnosticEngine &Diags) : Vm(C, Diags, Options()) {}
-
 Vm::Vm(const Chunk &C, DiagnosticEngine &Diags, Options Opts)
     : C(C), Core(Opts, Diags, "vm: ",
                  [this](Marker &M) {
@@ -99,6 +97,7 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
     size_t Have = Closure->Partial.size();
     if (Have + Args.size() < P.Arity) {
       RtClosure *Next = Core.newClosure();
+      Next->Lambda = Closure->Lambda;
       Next->ProtoIdx = Closure->ProtoIdx;
       Next->Env = Closure->Env;
       Next->Partial = Closure->Partial;
@@ -126,7 +125,7 @@ bool Vm::applyValue(RtValue Callee, std::vector<RtValue> Args,
 EngineCore::Activation Vm::activation(const RtClosure &Closure,
                                       uint32_t Site) const {
   const Proto &P = C.Protos[Closure.ProtoIdx];
-  const LambdaExpr *Fn = P.Lambda;
+  const LambdaExpr *Fn = Closure.Lambda;
   for (size_t I = 0; I != Closure.Partial.size(); ++I)
     Fn = cast<LambdaExpr>(Fn->body());
   auto It = C.CallSites.find(Site);
@@ -160,8 +159,11 @@ void Vm::activate(const RtClosure &Closure, size_t Base,
     EnvPtr Frame = std::make_shared<EnvFrame>();
     Frame->Parent = Closure.Env;
     Frame->Slots.reserve(P.Arity);
-    for (size_t I = First; I != Stack.size(); ++I)
-      Frame->Slots.emplace_back(Symbol::invalid(), Stack[I]);
+    const LambdaExpr *Param = P.Lambda;
+    for (size_t I = First; I != Stack.size(); ++I) {
+      Frame->Slots.emplace_back(Param->param(), Stack[I]);
+      Param = dyn_cast<LambdaExpr>(Param->body());
+    }
     Stack.resize(Base);
     CF.Env = std::move(Frame);
   }
@@ -487,6 +489,7 @@ std::optional<RtValue> Vm::run() {
   }
   VM_OP(MakeClosure) {
     RtClosure *Closure = Core.newClosure();
+    Closure->Lambda = C.Protos[In->A].Lambda;
     Closure->ProtoIdx = In->A;
     Closure->Env = F->Env;
     Stack.push_back(RtValue::makeClosure(Closure));
@@ -564,8 +567,9 @@ std::optional<RtValue> Vm::run() {
   VM_OP(EnterScope) {
     EnvPtr Child = std::make_shared<EnvFrame>();
     Child->Parent = F->Env;
-    Child->Slots.assign(static_cast<size_t>(In->A),
-                        {Symbol::invalid(), RtValue::makeNil()});
+    for (int32_t I = 0; I != In->A; ++I)
+      Child->Slots.emplace_back(C.SlotNames[static_cast<size_t>(In->Imm + I)],
+                                RtValue::makeNil());
     if (In->B)
       Core.keepRecFrame(Child);
     F->Env = std::move(Child);

@@ -31,8 +31,7 @@ class Vm {
 public:
   using Options = EngineOptions;
 
-  Vm(const Chunk &C, DiagnosticEngine &Diags);
-  Vm(const Chunk &C, DiagnosticEngine &Diags, Options Opts);
+  Vm(const Chunk &C, DiagnosticEngine &Diags, Options Opts = Options());
 
   /// Runs the chunk's entry proto. Returns nullopt after a diagnostic on
   /// runtime errors.

@@ -25,6 +25,15 @@
 // generated programs. A run the step budget stops must still end every
 // activation it began, with a null result.
 //
+// The speculative tier's profiling pre-run runs on the engine asked for:
+// the tree-walker reports every branch it enters, the VM a guard.spec at
+// the top of every branch. Both must count the same entries and
+// allocations, so the planned speculations and the merged plan must be
+// identical on both engines, over every shipped example under each
+// optimization configuration and over generated programs. So must the
+// escape oracle's report, alias exemptions included: a closure exposes
+// its free variables' values, whatever frames the engine keeps them in.
+//
 //===----------------------------------------------------------------------===//
 
 #include "ProgramGenerator.h"
@@ -341,10 +350,12 @@ size_t expectActivationParity(const std::string &Source,
   return Logs[0].Entries;
 }
 
-TEST(ActivationParity, EveryExampleInEveryConfigOnBothEngines) {
+/// Calls \p Check(Source, Options, Label) for every shipped example under
+/// each optimization configuration: default, --no-reuse, --whole-object,
+/// --no-stack --no-region.
+template <typename CheckFn> void forEveryExampleConfig(CheckFn Check) {
   auto Files = exampleFiles();
   ASSERT_FALSE(Files.empty());
-  // default, --no-reuse, --whole-object, --no-stack --no-region
   for (int Config = 0; Config != 4; ++Config)
     for (const auto &Path : Files) {
       std::string Source = slurp(Path);
@@ -356,10 +367,17 @@ TEST(ActivationParity, EveryExampleInEveryConfigOnBothEngines) {
         Options.Optimize.Analysis = EscapeAnalysisMode::WholeObject;
       Options.Optimize.EnableStack = Options.Optimize.EnableRegion =
           Config != 3;
-      std::string Label =
-          Path.filename().string() + " config " + std::to_string(Config);
-      EXPECT_GT(expectActivationParity(Source, Options, Label), 0u) << Path;
+      Check(Source, Options,
+            Path.filename().string() + " config " + std::to_string(Config));
     }
+}
+
+TEST(ActivationParity, EveryExampleInEveryConfigOnBothEngines) {
+  forEveryExampleConfig([](const std::string &Source,
+                           const PipelineOptions &Options,
+                           const std::string &Label) {
+    EXPECT_GT(expectActivationParity(Source, Options, Label), 0u) << Label;
+  });
 }
 
 TEST(ActivationParity, TailAndOverApplicationShapes) {
@@ -426,6 +444,102 @@ TEST_P(ActivationParitySeeds, GeneratedProgramOnBothEngines) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ActivationParitySeeds,
+                         ::testing::Range(1u, 257u));
+
+/// One line per speculation (its if and guarded branch ids, the profiled
+/// hot and cold entries, its directives) and per merged directive (call,
+/// argument, speculation, protected spines, sites by id with their
+/// class).
+std::string renderSpecPlan(const spec::SpecPlan &Plan) {
+  std::ostringstream OS;
+  for (const spec::Speculation &S : Plan.Specs) {
+    OS << "spec if " << S.IfExprId << " guard " << S.GuardBranchId
+       << " hot " << S.HotEntries << " cold " << S.ColdEntries
+       << " directives";
+    for (uint32_t D : S.DirectiveIndices)
+      OS << ' ' << D;
+    OS << '\n';
+  }
+  for (const ArgArenaDirective &D : Plan.Merged.Directives) {
+    OS << "directive call " << D.CallAppId << " arg " << D.ArgIndex
+       << " spec " << D.SpecIndex << " top " << D.ProtectedSpines
+       << " sites";
+    std::map<uint32_t, ArenaSiteClass> Sites(D.Sites.begin(), D.Sites.end());
+    for (const auto &[Site, Class] : Sites)
+      OS << ' ' << Site << (Class == ArenaSiteClass::Stack ? "s" : "r");
+    OS << '\n';
+  }
+  return OS.str();
+}
+
+/// Runs \p Options with speculation on both engines and expects the same
+/// speculative plan. Returns the number of speculations.
+size_t expectSpecPlanParity(const std::string &Source,
+                            PipelineOptions Options,
+                            const std::string &Label) {
+  std::string Plans[2];
+  size_t Specs = 0;
+  Options.Spec.Enable = true;
+  for (int I = 0; I != 2; ++I) {
+    Options.Engine =
+        I ? ExecutionEngine::Bytecode : ExecutionEngine::TreeWalker;
+    PipelineResult R = runPipeline(Source, Options);
+    EXPECT_TRUE(R.Success) << Label << ":\n" << R.diagnostics();
+    EXPECT_TRUE(R.SpecPlan) << "the pre-run failed: " << Label;
+    if (R.SpecPlan) {
+      Plans[I] = renderSpecPlan(*R.SpecPlan);
+      Specs = R.SpecPlan->Specs.size();
+    }
+  }
+  EXPECT_EQ(Plans[0], Plans[1])
+      << "ENGINES DISAGREE ON THE SPECULATIVE PLAN: " << Label;
+  return Specs;
+}
+
+TEST(SpecPlanParity, EveryExampleInEveryConfigOnBothEngines) {
+  size_t Specs = 0;
+  forEveryExampleConfig([&](const std::string &Source,
+                            const PipelineOptions &Options,
+                            const std::string &Label) {
+    Specs += expectSpecPlanParity(Source, Options, Label);
+  });
+  EXPECT_GT(Specs, 0u) << "no example planned a speculation";
+}
+
+TEST(OracleParity, EveryExampleInEveryConfigOnBothEngines) {
+  forEveryExampleConfig([](const std::string &Source,
+                           PipelineOptions Options,
+                           const std::string &Label) {
+    std::string Reports[2];
+    Options.RunOracle = true;
+    for (int I = 0; I != 2; ++I) {
+      Options.Engine =
+          I ? ExecutionEngine::Bytecode : ExecutionEngine::TreeWalker;
+      PipelineResult R = runPipeline(Source, Options);
+      ASSERT_TRUE(R.Success && R.Check) << Label << ":\n" << R.diagnostics();
+      Reports[I] = R.Check->render(*R.SM);
+    }
+    EXPECT_EQ(Reports[0], Reports[1])
+        << "ORACLE DIFFERS ACROSS ENGINES: " << Label;
+  });
+}
+
+class SpecPlanParitySeeds : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(SpecPlanParitySeeds, GeneratedProgramOnBothEngines) {
+  ProgramGenerator Gen(GetParam());
+  GenProgram Prog = Gen.generate(3);
+  PipelineOptions Options;
+  Options.Mode = TypeInferenceMode::Monomorphic;
+  // Any profiled allocation makes a site hot: generated programs are
+  // small, and the plans should hold speculations to compare.
+  Options.Spec.HotMinAllocs = 1;
+  expectSpecPlanParity(Prog.Source, Options,
+                       "seed " + std::to_string(GetParam()) + ":\n" +
+                           Prog.Source);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SpecPlanParitySeeds,
                          ::testing::Range(1u, 257u));
 
 } // namespace

@@ -8,7 +8,10 @@
 // run may a cons cell of those spines be reachable from the call's
 // result. The oracle runs randomly generated, well-typed programs on the
 // real heap, tags the argument's spine cells by pointer identity, and
-// checks reachability of the result against the analysis verdict.
+// checks reachability of the result against the analysis verdict. Each
+// trial is an ordinary run of the program with its body replaced by the
+// call `f lit1 ... litn`; an observer catches the arguments that call's
+// activation receives.
 //
 //===----------------------------------------------------------------------===//
 
@@ -80,6 +83,18 @@ void collectReachable(RtValue V, std::set<const ConsCell *> &Cells,
   }
 }
 
+/// Catches the arguments of the activation call site \p Site enters.
+struct ArgCatcher final : public ExecutionObserver {
+  explicit ArgCatcher(uint32_t Site) : Site(Site) {}
+  void activationEntered(const LambdaExpr *, const AppExpr *CallSite,
+                         std::span<const RtValue> Values) override {
+    if (CallSite && CallSite->id() == Site)
+      Args.assign(Values.begin(), Values.end());
+  }
+  uint32_t Site;
+  std::vector<RtValue> Args;
+};
+
 struct OracleTarget {
   std::string Fn;
   std::vector<GenType> Params;
@@ -89,9 +104,9 @@ class EscapeOracleTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(EscapeOracleTest, AnalysisOverapproximatesRuntimeEscape) {
   ProgramGenerator Gen(GetParam());
-  // callBinding below runs the tree-walker on this thread's stack (no
-  // big-stack thread), and ASan's redzones inflate the recursive eval
-  // frames: keep generated tail loops shallow enough for both.
+  // The trials run the tree-walker on this thread's stack (no big
+  // stack), and ASan's redzones inflate the recursive eval frames: keep
+  // generated tail loops shallow enough for both.
   Gen.TailLoopBase = 50;
   Gen.TailLoopSpread = 100;
   GenProgram Prog = Gen.generate(3);
@@ -135,34 +150,32 @@ TEST_P(EscapeOracleTest, AnalysisOverapproximatesRuntimeEscape) {
       if (Protected == 0)
         continue; // no claim to refute
 
-      // Several runs with different random arguments. The literal text
-      // buffers must outlive parsing only, but keep them alive for error
-      // messages.
-      std::vector<std::unique_ptr<std::string>> LitBuffers;
+      // Several runs with different random arguments, each with the
+      // program's bindings and the body `f lit1 ... litn`.
       for (unsigned Trial = 0; Trial != 3; ++Trial) {
-        // Build fresh argument literals.
-        std::vector<const Expr *> ArgExprs;
-        for (GenType T : Target.Params) {
-          LitBuffers.push_back(std::make_unique<std::string>(
-              GenProgram::literalOf(T, Gen.rng())));
-          Parser P(*LitBuffers.back(), FE.Ast, FE.Diags);
-          const Expr *E = P.parseExpr();
-          ASSERT_NE(E, nullptr) << *LitBuffers.back();
-          ArgExprs.push_back(E);
-        }
+        std::string Call = Target.Fn;
+        for (GenType T : Target.Params)
+          Call += " (" + GenProgram::literalOf(T, Gen.rng()) + ")";
+        Frontend Run;
+        ASSERT_TRUE(Run.parseAndType(
+            Prog.Source.substr(0, Prog.Source.rfind("\nin ")) + "\nin " +
+                Call + "\n",
+            TypeInferenceMode::Monomorphic))
+            << Call << " (seed " << GetParam() << "):\n"
+            << Run.diagText();
+        ArgCatcher Catcher(cast<LetrecExpr>(Run.Root)->body()->id());
         Interpreter::Options Opts;
         Opts.HeapCapacity = 1 << 18; // never collect: cell identity stable
-        Interpreter Interp(FE.Ast, *FE.Typed, nullptr, FE.Diags, Opts);
-        std::vector<RtValue> ArgValues;
-        auto Result = Interp.callBinding(FE.Ast.intern(Target.Fn), ArgExprs,
-                                         &ArgValues);
+        Opts.Observer = &Catcher;
+        Interpreter Interp(Run.Ast, *Run.Typed, nullptr, Run.Diags, Opts);
+        auto Result = Interp.run();
         ASSERT_TRUE(Result.has_value())
-            << Target.Fn << " failed at run time (seed " << GetParam()
-            << "):\n"
-            << Prog.Source << FE.diagText();
+            << Call << " failed at run time (seed " << GetParam() << "):\n"
+            << Prog.Source << Run.diagText();
+        ASSERT_EQ(Catcher.Args.size(), Target.Params.size()) << Call;
 
         std::vector<std::set<const ConsCell *>> Levels;
-        collectSpineLevels(ArgValues[I], Levels);
+        collectSpineLevels(Catcher.Args[I], Levels);
         std::set<const ConsCell *> Reach;
         std::set<const EnvFrame *> Frames;
         collectReachable(*Result, Reach, Frames);

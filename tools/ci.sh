@@ -72,7 +72,7 @@ run_config() {
     smoke "eal check --oracle --live-oracle, both engines," check_smoke "$dir"
     smoke "eal live" live_smoke "$dir"
     smoke "eal run --live-oracle, both engines," live_oracle_smoke "$dir"
-    smoke "eal spec + forced deopt" spec_smoke "$dir"
+    smoke "eal spec + forced deopt, both engines," spec_smoke "$dir"
     smoke "eal run --record + timeline, both engines," record_smoke "$dir"
     record_dump_smoke "$dir"
   fi
@@ -163,20 +163,27 @@ live_oracle_smoke() {
   done
 }
 
-# Speculative-tier smoke: run every shipped example under ASan with
-# speculation on AND a forced deopt, arena frees validated — the deopt
-# path migrates live cells mid-run, so this is where a dangling arena
-# link or a double free would surface. Each `eal spec` run also
+# Speculative-tier smoke: run every shipped example under ASan on both
+# engines, each profiling its own pre-run, with speculation on AND a
+# forced deopt, arena frees validated — the deopt path migrates live
+# cells mid-run, so this is where a dangling arena link or a double
+# free would surface. Each `eal spec` run also
 # round-trips --spec-json through the eal-spec-v1 schema checker
 # (docs/SPECULATION.md). Examples that plan no speculation still
 # exercise the planner's pre-run and export an empty plan.
 spec_smoke() {
-  local dir="$1" example="$2" json="$1/spec-$3.json"
+  local dir="$1" example="$2" name="$3" engine json
   shift 3
-  "$dir/tools/eal" run "$example" "$@" --spec --spec-inject-deopt=all \
-      --validate >/dev/null
-  "$dir/tools/eal" spec "$example" "$@" --spec-json="$json" >/dev/null
-  python3 "$CHECK_JSON" "$json"
+  for engine in "" --vm; do
+    json="$dir/spec-$name$engine.json"
+    # shellcheck disable=SC2086
+    "$dir/tools/eal" run "$example" "$@" $engine --spec \
+        --spec-inject-deopt=all --validate >/dev/null
+    # shellcheck disable=SC2086
+    "$dir/tools/eal" spec "$example" "$@" $engine --spec-json="$json" \
+        >/dev/null
+    python3 "$CHECK_JSON" "$json"
+  done
 }
 
 # Flight-recorder smoke: stream every shipped example, on both engines,

@@ -378,7 +378,6 @@ int main(int argc, char **argv) {
   Options.RunProgram = Command == "run" || Command == "report" ||
                        Command == "profile" || Command == "spec";
   Options.Spec.Enable = Command == "spec";
-  Options.CompileBytecode = Command == "disasm";
   Options.RunLint = Command == "check" || Command == "profile";
   Options.RunExplain = Command == "explain";
   Options.RunLive = Command == "live";
@@ -483,6 +482,11 @@ int main(int argc, char **argv) {
                       TimePhases);
 
   PipelineResult R = runPipeline(Source, Options);
+  if (Command == "disasm" && R.Success) {
+    R.Code = compileToBytecode(*R.Ast, R.Optimized->Root, &R.Optimized->Plan,
+                               *R.Diags);
+    R.Success = R.Code.has_value();
+  }
   // The pipeline itself exports traces and stats (even on failure: a
   // trace of a failed run is exactly what one wants for debugging it);
   // surface any export errors here.
