@@ -96,10 +96,13 @@ void collectReachable(
       if (Fresh)
         It->second = freeVariables(Fn);
       for (Symbol Name : It->second) {
+        // The innermost partial argument named Name (the last match)
+        // shadows the others and the environment.
         const RtValue *Value = nullptr;
         const LambdaExpr *L = C->Lambda;
-        for (size_t I = 0; !Value && I != C->Partial.size(); ++I) {
-          Value = L->param() == Name ? &C->Partial[I] : nullptr;
+        for (size_t I = 0; I != C->Partial.size(); ++I) {
+          if (L->param() == Name)
+            Value = &C->Partial[I];
           L = cast<LambdaExpr>(L->body());
         }
         for (EnvFrame *F = C->Env.get(); !Value && F; F = F->Parent.get())

@@ -354,8 +354,9 @@ PipelineResult eal::runPipeline(const std::string &Source,
   PipelineResult R;
 
   // Flight-recorder wiring (docs/RECORDER.md). Arm the crash dump
-  // before anything can fail, then start the stream: startStream purges
-  // the rings, so the recording holds exactly this run's events.
+  // before anything can fail, then start the stream: it holds exactly
+  // this run's events, and startStream clears the flight ring, so a dump
+  // taken during the stream holds this run's events alone.
   if (!Obs.RecDumpPath.empty())
     obs::rec::setDumpPath(Obs.RecDumpPath, Obs.Command);
   bool Streaming = false;

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The event vocabulary of the flight recorder (docs/RECORDER.md). One
-/// event is a fixed 32-byte POD: a kind, a ring id, a timestamp on the
-/// obs trace clock, and three raw payload words whose meaning depends on
+/// event is a fixed 32-byte POD: a kind, a producer id, a timestamp on
+/// the obs trace clock, and three raw payload words whose meaning depends on
 /// the kind. Strings never travel in events — names (commands, phases,
 /// deopt causes, dump triggers) are interned to small ids and the table
 /// is written once per recording (see Recorder.h).
@@ -93,8 +93,9 @@ struct RecEvent {
   uint64_t B = 0;
   uint32_t C = 0;
   uint16_t Kind = 0;
-  /// Ring id the event was produced into (stable per ring, not per OS
-  /// thread: rings are pooled across short-lived execution threads).
+  /// Producer id: always 0, since one thread emits every event into
+  /// one ring. eal-rec-v1 keeps the field, and readers group phases by
+  /// it, so recordings with several producers still read.
   uint16_t Tid = 0;
 };
 

@@ -1,4 +1,4 @@
-//===- Recorder.h - Always-on flight recorder + streaming drain -*- C++ -*-==//
+//===- Recorder.h - Always-on flight recorder + event stream ----*- C++ -*-==//
 //
 // Part of eal, a reproduction of "Escape Analysis on Lists"
 // (Park & Goldberg, PLDI 1992).
@@ -7,16 +7,16 @@
 ///
 /// \file
 /// The flight recorder (docs/RECORDER.md): runtime subsystems emit
-/// compact RecEvents into per-thread lock-free rings (EventRing.h), and
-/// three consumers read them back out:
+/// compact RecEvents on the thread that runs the pipeline, and three
+/// consumers read them:
 ///
-///  - the always-on flight buffer: each ring retains its last N events;
+///  - the always-on flight ring, which keeps the newest events;
 ///    dumpNow() writes them as an `eal-rec-v1` file when something goes
 ///    wrong (oracle refutation, liveness refutation, spec deopt,
 ///    SIGABRT, failed pipeline) — first trigger wins;
-///  - the streaming drain (`--record=FILE`): a background thread tails
-///    every ring losslessly into an NDJSON or binary file a live
-///    consumer can follow;
+///  - the stream (`--record=FILE`): while it is open, emit also writes
+///    each event to an NDJSON or binary file, so the file holds every
+///    event in emission order;
 ///  - `eal timeline` (Timeline.h): replays a recording into heap
 ///    occupancy curves, cell lifetime ribbons, and phase/GC bands.
 ///
@@ -33,7 +33,7 @@
 ///
 /// Compiling with -DEAL_OBS_RECORDER=OFF turns `on()` into `constexpr
 /// false`, so every emit site is dead-code-eliminated (the
-/// 0%-compiled-out guarantee); the drain/dump/timeline machinery still
+/// 0%-compiled-out guarantee); the stream/dump/timeline machinery still
 /// builds, it just sees no events.
 ///
 //===----------------------------------------------------------------------===//
@@ -60,7 +60,8 @@ namespace eal::obs::rec {
 
 namespace detail {
 extern std::atomic<bool> LiteOn; ///< master switch (bench kill switch)
-/// Stamps time + ring id and pushes into the calling thread's ring.
+/// Stamps the time, stores into the flight ring and, while a stream is
+/// open, writes the event to the stream file.
 void emitSlow(RecKind K, uint64_t A, uint64_t B, uint32_t C);
 } // namespace detail
 
@@ -96,7 +97,7 @@ size_t finalCounterCount();
 void setLiteEnabled(bool On);
 
 //===----------------------------------------------------------------------===//
-// Streaming drain (--record=FILE)
+// Stream (--record=FILE)
 //===----------------------------------------------------------------------===//
 
 struct StreamOptions {
@@ -105,10 +106,12 @@ struct StreamOptions {
   std::string Command = "run"; ///< header metadata
 };
 
-/// Starts the background drain tailing every ring into Opts.Path.
-/// Returns false (with *Err set) on I/O failure or if already streaming.
+/// Opens Opts.Path and writes every later event to it as it is emitted.
+/// Clears the flight ring and the finalCounter() set. Returns false
+/// (with *Err set) on I/O failure or if already streaming.
 bool startStream(const StreamOptions &Opts, std::string *Err);
-/// Final drain + footer (name table, final counters, drop count).
+/// Writes the footer (name table, final counters, a drop count of 0)
+/// and closes the file.
 /// Returns false on I/O failure. No-op (true) when not streaming.
 bool stopStream(std::string *Err);
 bool streaming();
@@ -117,15 +120,17 @@ bool streaming();
 // Crash dumps
 //===----------------------------------------------------------------------===//
 
-/// Arms dumping: the first dumpNow() after this writes the flight
-/// buffers to \p Path as eal-rec-v1 NDJSON. Also installs a SIGABRT
-/// handler (best effort: the handler only dumps if no recorder lock is
-/// held at signal time). Re-arming resets the first-trigger-wins latch
-/// and the finalCounter() set. \p Command is header metadata.
+/// Arms dumping: the first dumpNow() after this writes the flight ring
+/// to \p Path as eal-rec-v1 NDJSON. Also installs a SIGABRT handler
+/// (best effort: it writes from a signal handler). Re-arming resets the
+/// first-trigger-wins latch and the finalCounter() set. \p Command is
+/// header metadata.
 void setDumpPath(std::string Path, std::string Command = "run");
 void clearDumpPath();
 /// Writes the dump if armed and not already dumped; returns true iff a
-/// file was written. \p Trigger names the cause ("spec-deopt",
+/// file was written. The footer's `dropped` counts the events the ring
+/// overwrote since the last startStream (or since the process
+/// started). \p Trigger names the cause ("spec-deopt",
 /// "oracle-refuted", ...) in the footer and a trailing DumpTrigger
 /// event.
 bool dumpNow(std::string_view Trigger);

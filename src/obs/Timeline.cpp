@@ -388,8 +388,8 @@ void Timeline::replay(const std::vector<RecEvent> &Events) {
   // The speculation pre-run (phase "spec-profile") runs a heap of its
   // own, but the footer's RuntimeStats describe the measured run alone:
   // the replay skips the pre-run's heap events (its cell events are
-  // never recorded). Rings drain out of time order, so its time bands
-  // are collected first.
+  // never recorded). Its time bands are collected first, so a recording
+  // whose events are not in time order still skips them.
   std::vector<std::pair<uint64_t, uint64_t>> PreRuns;
   for (const RecEvent &Ev : Events)
     if (Ev.Kind == static_cast<uint16_t>(RecKind::PhaseBegin) &&
@@ -400,7 +400,7 @@ void Timeline::replay(const std::vector<RecEvent> &Events) {
       PreRuns.back().second = Ev.TimeUs;
 
   std::unordered_map<uint64_t, size_t> RibbonBySeq; // AllocSeq -> index
-  // Open phases per ring id (innermost last).
+  // Open phases per producer id (innermost last).
   std::unordered_map<uint16_t, std::vector<size_t>> OpenPhases;
   size_t OpenGc = SIZE_MAX;
   int64_t Live[NumTlClasses] = {0, 0, 0};

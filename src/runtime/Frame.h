@@ -31,10 +31,12 @@ struct EnvFrame {
   /// Mark epoch for GC tracing (avoids revisiting shared frames).
   uint64_t MarkEpoch = 0;
 
+  /// The innermost binding of \p Name in this frame: the last slot, so
+  /// `f x x` binds x to its second argument.
   RtValue *find(Symbol Name) {
-    for (auto &Slot : Slots)
-      if (Slot.first == Name)
-        return &Slot.second;
+    for (auto It = Slots.rbegin(); It != Slots.rend(); ++It)
+      if (It->first == Name)
+        return &It->second;
     return nullptr;
   }
 };

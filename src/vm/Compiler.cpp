@@ -87,7 +87,8 @@ private:
     int32_t FrameDepth = 0;
     for (size_t D = 0; D != Scopes.size(); ++D) {
       const Scope &S = Scopes[Scopes.size() - 1 - D];
-      for (size_t I = 0; I != S.Names.size(); ++I)
+      // The last match is the innermost binding (`f x x`).
+      for (size_t I = S.Names.size(); I-- != 0;)
         if (S.Names[I] == Name) {
           if (S.K == Scope::Stack) {
             // The frame-escape analysis guarantees stack bindings are

@@ -4,11 +4,13 @@
 // (Park & Goldberg, PLDI 1992).
 //
 // The flight recorder end to end (docs/RECORDER.md): streaming a run
-// into an eal-rec-v1 file and replaying it with Timeline, the forced
-// failure dump whose tail names the refutation, and the differential
-// guarantees — recording a run changes nothing about the run, and the
-// replayed totals equal the run's own RuntimeStats, across generated
-// programs, seeds, engines, and both file formats.
+// into an eal-rec-v1 file and replaying it with Timeline, the flight
+// ring's order, wrap and non-consuming dumps, the stream's losslessness
+// past the ring (from one thread or several taking turns), the SIGABRT
+// dump, the forced failure dump whose tail names the refutation, and
+// the differential guarantees — recording a run changes nothing about
+// the run, and the replayed totals equal the run's own RuntimeStats,
+// across generated programs, seeds, engines, and both file formats.
 //
 // These tests require the recorder compiled in; tests/CMakeLists.txt
 // only builds them under -DEAL_OBS_RECORDER=ON (the default).
@@ -22,10 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 using namespace eal;
 using namespace eal::obs;
@@ -102,8 +108,287 @@ TEST_P(StreamRoundTrip, TimelineReconcilesWithRuntimeStats) {
 
 INSTANTIATE_TEST_SUITE_P(Formats, StreamRoundTrip, ::testing::Bool());
 
-// --spec runs the program once more, on the tree-walker, before the
-// measured run. A recording holds the measured run alone: no cell event
+//===----------------------------------------------------------------------===//
+// The flight ring and the stream
+//===----------------------------------------------------------------------===//
+
+/// The flight ring's capacity (Recorder.cpp): a dump holds at most this
+/// many events before its trigger mark.
+constexpr uint64_t RingCapacity = 8192;
+
+/// The events of the recording at \p Path in file order, either format.
+std::vector<rec::RecEvent> rawEvents(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::string Line;
+  std::getline(In, Line); // header
+  std::vector<rec::RecEvent> Out;
+  rec::RecEvent Ev;
+  if (Line.find("\"format\":\"binary\"") != std::string::npos) {
+    while (In.read(reinterpret_cast<char *>(&Ev), sizeof(Ev)) &&
+           Ev.Kind != 0xFFFF)
+      Out.push_back(Ev);
+    return Out;
+  }
+  while (std::getline(In, Line) &&
+         std::sscanf(Line.c_str(),
+                     "{\"t\":%" SCNu64 ",\"tid\":%" SCNu16 ",\"k\":%" SCNu16
+                     ",\"a\":%" SCNu64 ",\"b\":%" SCNu64 ",\"c\":%" SCNu32 "}",
+                     &Ev.TimeUs, &Ev.Tid, &Ev.Kind, &Ev.A, &Ev.B,
+                     &Ev.C) == 6)
+    Out.push_back(Ev);
+  return Out;
+}
+
+std::string startTestStream(const char *Name, bool Binary) {
+  rec::StreamOptions Opts;
+  Opts.Path = tempPath(Name);
+  Opts.Binary = Binary;
+  Opts.Command = "test";
+  std::string Err;
+  EXPECT_TRUE(rec::startStream(Opts, &Err)) << Err;
+  return Opts.Path;
+}
+
+void stopTestStream() {
+  std::string Err;
+  EXPECT_TRUE(rec::stopStream(&Err)) << Err;
+}
+
+/// Emits CellTouch events with A = First, First + 1, ... (N of them).
+void emitTouches(uint64_t First, uint64_t N) {
+  for (uint64_t I = First; I != First + N; ++I)
+    rec::emit(rec::RecKind::CellTouch, I, /*SiteId=*/7);
+}
+
+/// Counts the events of \p Events whose A does not run First, First+1,
+/// ... in order.
+size_t outOfSequence(const std::vector<rec::RecEvent> &Events, size_t Count,
+                     uint64_t First) {
+  size_t Bad = 0;
+  for (size_t I = 0; I != Count; ++I)
+    Bad += Events[I].A != First + I;
+  return Bad;
+}
+
+TEST(RecorderStream, LosesNoEventPastRingCapacity) {
+  for (bool Binary : {false, true}) {
+    std::string Path = startTestStream("lossless.rec", Binary);
+    const uint64_t N = 3 * RingCapacity + 17;
+    for (uint64_t Seq = 1; Seq <= N; ++Seq)
+      rec::emit(rec::RecKind::CellBirth, Seq, /*SiteId=*/7, rec::TlHeap);
+    stopTestStream();
+
+    rec::Timeline T;
+    std::string Err;
+    ASSERT_TRUE(T.load(Path, &Err)) << Err;
+    EXPECT_EQ(T.Dropped, 0u);
+    EXPECT_EQ(T.BirthsByClass[rec::TlHeap], N);
+    // Every AllocSeq arrived, once, in emission order.
+    std::vector<rec::RecEvent> Events = rawEvents(Path);
+    ASSERT_EQ(Events.size(), N) << "binary " << Binary;
+    EXPECT_EQ(outOfSequence(Events, N, 1), 0u) << "binary " << Binary;
+    std::remove(Path.c_str());
+  }
+}
+
+TEST(RecorderStream, EveryFieldSurvivesABinaryRoundTrip) {
+  struct Sent {
+    rec::RecKind Kind;
+    uint64_t A, B;
+    uint32_t C;
+  };
+  const Sent Events[] = {
+      {rec::RecKind::SpecDeopt, ~0ULL, 0xfeedfacecafebeefULL, 0xdeadbeef},
+      {rec::RecKind::CellDcons, 0, 1, 0},
+      {rec::RecKind::GcEnd, 0x0123456789abcdefULL, 42, ~0U},
+  };
+  std::string Path = startTestStream("fields.bin.rec", /*Binary=*/true);
+  const uint64_t Before = static_cast<uint64_t>(nowMicros());
+  for (const Sent &E : Events)
+    rec::emit(E.Kind, E.A, E.B, E.C);
+  stopTestStream();
+
+  std::vector<rec::RecEvent> Read = rawEvents(Path);
+  ASSERT_EQ(Read.size(), std::size(Events));
+  uint64_t Last = Before;
+  for (size_t I = 0; I != Read.size(); ++I) {
+    EXPECT_EQ(Read[I].Kind, static_cast<uint16_t>(Events[I].Kind));
+    EXPECT_EQ(Read[I].A, Events[I].A);
+    EXPECT_EQ(Read[I].B, Events[I].B);
+    EXPECT_EQ(Read[I].C, Events[I].C);
+    EXPECT_EQ(Read[I].Tid, 0u);
+    EXPECT_GE(Read[I].TimeUs, Last) << "events are stamped in order";
+    Last = Read[I].TimeUs;
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(RecorderFlight, WrapKeepsNewestAndDumpCountsTheRest) {
+  // An empty stream clears the ring, whatever ran before in this process.
+  std::string StreamPath = startTestStream("clear.rec", /*Binary=*/false);
+  stopTestStream();
+  std::remove(StreamPath.c_str());
+
+  const uint64_t N = 3 * RingCapacity + 5;
+  emitTouches(0, N);
+  std::string Path = tempPath("wrap.rec");
+  rec::setDumpPath(Path, "test");
+  ASSERT_TRUE(rec::dumpNow("wrap"));
+  rec::clearDumpPath();
+
+  rec::Timeline T;
+  std::string Err;
+  ASSERT_TRUE(T.load(Path, &Err)) << Err;
+  EXPECT_EQ(T.Dropped, N - RingCapacity);
+  std::vector<rec::RecEvent> Events = rawEvents(Path);
+  ASSERT_EQ(Events.size(), RingCapacity + 1); // + the trigger mark
+  EXPECT_EQ(outOfSequence(Events, RingCapacity, N - RingCapacity), 0u);
+  EXPECT_EQ(Events.back().Kind,
+            static_cast<uint16_t>(rec::RecKind::DumpTrigger));
+  std::remove(Path.c_str());
+}
+
+TEST(RecorderDump, DumpDuringStreamHoldsTheNewestEvents) {
+  std::string StreamPath =
+      startTestStream("mid-stream.rec", /*Binary=*/false);
+  std::string DumpPath = tempPath("mid-stream-dump.rec");
+  rec::setDumpPath(DumpPath, "test");
+  const uint64_t N = 2 * RingCapacity + 3, More = 10;
+  emitTouches(0, N);
+  ASSERT_TRUE(rec::dumpNow("mid-stream"));
+  emitTouches(N, More);
+  stopTestStream();
+  rec::clearDumpPath();
+
+  // The dump holds the newest ring-full at the trigger...
+  rec::Timeline T;
+  std::string Err;
+  ASSERT_TRUE(T.load(DumpPath, &Err)) << Err;
+  EXPECT_EQ(T.Trigger, "mid-stream");
+  EXPECT_EQ(T.Dropped, N - RingCapacity);
+  std::vector<rec::RecEvent> Dumped = rawEvents(DumpPath);
+  ASSERT_EQ(Dumped.size(), RingCapacity + 1);
+  EXPECT_EQ(outOfSequence(Dumped, RingCapacity, N - RingCapacity), 0u);
+  // ...and the stream still holds every event, the ones after it too.
+  std::vector<rec::RecEvent> Streamed = rawEvents(StreamPath);
+  ASSERT_EQ(Streamed.size(), N + More);
+  EXPECT_EQ(outOfSequence(Streamed, N + More, 0), 0u);
+  std::remove(DumpPath.c_str());
+  std::remove(StreamPath.c_str());
+}
+
+// The flight ring's own contracts, under the names they had while the
+// ring was a class of its own: events come out oldest first, and a
+// dump reads the ring without consuming it.
+
+TEST(EventRingTest, PushPopFifoOrder) {
+  std::string StreamPath = startTestStream("fifo-clear.rec", /*Binary=*/false);
+  stopTestStream();
+  std::remove(StreamPath.c_str());
+
+  emitTouches(0, 5);
+  std::string Path = tempPath("fifo.rec");
+  rec::setDumpPath(Path, "test");
+  ASSERT_TRUE(rec::dumpNow("fifo"));
+  rec::clearDumpPath();
+
+  rec::Timeline T;
+  std::string Err;
+  ASSERT_TRUE(T.load(Path, &Err)) << Err;
+  EXPECT_EQ(T.Dropped, 0u);
+  std::vector<rec::RecEvent> Events = rawEvents(Path);
+  ASSERT_EQ(Events.size(), 5u + 1); // + the trigger mark
+  EXPECT_EQ(outOfSequence(Events, 5, 0), 0u);
+  std::remove(Path.c_str());
+}
+
+TEST(EventRingTest, SnapshotDoesNotConsume) {
+  std::string StreamPath = startTestStream("snap-clear.rec", /*Binary=*/false);
+  stopTestStream();
+  std::remove(StreamPath.c_str());
+
+  emitTouches(0, 3);
+  std::string First = tempPath("snap-first.rec");
+  rec::setDumpPath(First, "test");
+  ASSERT_TRUE(rec::dumpNow("first"));
+  // Re-arming takes a second snapshot of the same ring, two events on.
+  emitTouches(3, 2);
+  std::string Second = tempPath("snap-second.rec");
+  rec::setDumpPath(Second, "test");
+  ASSERT_TRUE(rec::dumpNow("second"));
+  rec::clearDumpPath();
+
+  std::vector<rec::RecEvent> Before = rawEvents(First);
+  ASSERT_EQ(Before.size(), 3u + 1);
+  EXPECT_EQ(outOfSequence(Before, 3, 0), 0u);
+  // The first dump took nothing out: the second holds those 3 as well.
+  std::vector<rec::RecEvent> After = rawEvents(Second);
+  ASSERT_EQ(After.size(), 5u + 1);
+  EXPECT_EQ(outOfSequence(After, 5, 0), 0u);
+  std::remove(First.c_str());
+  std::remove(Second.c_str());
+}
+
+// The recorder keeps no per-thread state: whichever thread feeds it
+// writes into the one ring and the one stream, so producers that take
+// turns, on threads that have exited by the end, lose nothing.
+TEST(RecorderStress, StreamingIsLosslessAcrossFourProducerThreads) {
+  const unsigned NumThreads = 4;
+  const uint64_t PerThread = RingCapacity + 100;
+  std::string Path = startTestStream("turns.rec", /*Binary=*/true);
+  for (unsigned T = 0; T != NumThreads; ++T)
+    std::thread([T, PerThread] {
+      for (uint64_t I = 0; I != PerThread; ++I)
+        rec::emit(rec::RecKind::CellBirth, T * PerThread + I, /*SiteId=*/T,
+                  rec::TlHeap);
+    }).join();
+  stopTestStream();
+
+  rec::Timeline Tl;
+  std::string Err;
+  ASSERT_TRUE(Tl.load(Path, &Err)) << Err;
+  EXPECT_EQ(Tl.Dropped, 0u) << "a stream is lossless";
+  EXPECT_EQ(Tl.BirthsByClass[rec::TlHeap], NumThreads * PerThread);
+  std::vector<rec::RecEvent> Events = rawEvents(Path);
+  ASSERT_EQ(Events.size(), NumThreads * PerThread);
+  EXPECT_EQ(outOfSequence(Events, Events.size(), 0), 0u);
+  std::remove(Path.c_str());
+}
+
+// With one producer, the only dump that can run while events are still
+// being emitted is the SIGABRT hook's: an abort raised in the middle of
+// a run dumps the ring from the signal handler before the process dies.
+TEST(RecorderStress, FlightDumpRunsConcurrentlyWithProducers) {
+  const uint64_t N = RingCapacity + 40;
+  std::string Path = tempPath("abort-dump.rec");
+  std::remove(Path.c_str());
+  EXPECT_DEATH(
+      {
+        rec::setDumpPath(Path, "test");
+        for (uint64_t I = 0; I != 2 * N; ++I) {
+          if (I == N)
+            std::abort();
+          rec::emit(rec::RecKind::CellTouch, I, /*SiteId=*/7);
+        }
+      },
+      "");
+
+  rec::Timeline T;
+  std::string Err;
+  ASSERT_TRUE(T.load(Path, &Err)) << Err;
+  EXPECT_EQ(T.Mode, "flight");
+  EXPECT_EQ(T.Trigger, "sigabrt");
+  // The newest ring-full before the abort, then the trigger mark.
+  std::vector<rec::RecEvent> Events = rawEvents(Path);
+  ASSERT_EQ(Events.size(), RingCapacity + 1);
+  EXPECT_EQ(outOfSequence(Events, RingCapacity, N - RingCapacity), 0u);
+  EXPECT_EQ(Events.back().Kind,
+            static_cast<uint16_t>(rec::RecKind::DumpTrigger));
+  std::remove(Path.c_str());
+}
+
+// --spec runs the program once more, on the engine asked for, before
+// the measured run. A recording holds the measured run alone: no cell event
 // of the pre-run, and a replay that skips its heap events, so the
 // timeline reconciles on either engine.
 TEST(SpecRecording, HoldsTheMeasuredRunOnly) {

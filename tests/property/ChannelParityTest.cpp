@@ -524,6 +524,37 @@ TEST(OracleParity, EveryExampleInEveryConfigOnBothEngines) {
   });
 }
 
+// A parameter name repeated in one frame, or across a closure's partial
+// arguments, binds its innermost occurrence on both engines and in the
+// oracle's closure rule, as it does in the scoping rules and the escape
+// analysis.
+TEST(OracleParity, RepeatedParameterBindsTheInnermostOccurrence) {
+  const char *const Mk =
+      "letrec mk n = if n = 0 then nil else cons n (mk (n - 1)); ";
+  const struct {
+    std::string Source;
+    const char *Value;
+  } Rows[] = {
+      {std::string(Mk) + "f x x = x in f (mk 3) (mk 2)", "[2, 1]"},
+      {std::string(Mk) + "f x x y = x in let h = f (mk 3) (mk 2) in h 0",
+       "[2, 1]"},
+      {"let g = lambda(x). lambda(x). x in let h = g 1 in h 2", "2"},
+  };
+  for (const auto &Row : Rows)
+    for (ExecutionEngine Engine :
+         {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode}) {
+      PipelineOptions Options;
+      Options.Engine = Engine;
+      Options.RunOracle = true;
+      Options.Run.ValidateArenaFrees = true;
+      PipelineResult R = runPipeline(Row.Source, Options);
+      ASSERT_TRUE(R.Success && R.Check) << Row.Source << "\n"
+                                        << R.diagnostics();
+      EXPECT_EQ(R.RenderedValue, Row.Value) << Row.Source;
+      EXPECT_FALSE(R.Check->hasViolations()) << R.Check->render(*R.SM);
+    }
+}
+
 class SpecPlanParitySeeds : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(SpecPlanParitySeeds, GeneratedProgramOnBothEngines) {

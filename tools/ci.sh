@@ -9,11 +9,11 @@
 #             dispatch loop, which non-GNU compilers get) and
 #             -DEAL_OBS_RECORDER=OFF: every rec::emit site must compile
 #             away cleanly when the flight recorder is configured out
-#   tsan      ThreadSanitizer: the obs sinks and enable flags are read
-#             by producing threads while another toggles them (prep for
-#             a parallel runtime), so toggling must stay race-free; the
-#             recorder's ring/drain/dump protocol is stressed by
-#             tests/obs/RecorderStressTest.cpp in the tier-1 suite
+#   tsan      ThreadSanitizer: the obs span store (support/Trace.cpp)
+#             is fed by two threads at once in
+#             tests/support/ObservabilityTest.cpp, so it must stay
+#             race-free; everything else, the flight recorder included,
+#             runs on the thread that calls it and starts no thread
 #
 # Each configuration builds into build-ci-<name>/ at the repo root and
 # runs the tier-1 ctest suite (tier2 benches/sweeps are excluded: they
@@ -186,22 +186,24 @@ spec_smoke() {
   done
 }
 
-# Flight-recorder smoke: stream every shipped example, on both engines,
-# into an eal-rec-v1 recording under ASan (the drain thread tails
-# per-thread rings while the big-stack execution thread emits -- exactly
-# the concurrency ASan should watch), round-trip each file through the
-# schema checker, and replay it with `eal timeline`, which exits 1 if
-# the replayed counters fail to reconcile with the run's own stats
-# (docs/RECORDER.md).
+# Flight-recorder smoke: stream every shipped example, on both engines
+# and in both formats, into an eal-rec-v1 recording under ASan (emit
+# writes each event to the file as the run produces it, on the big
+# stack, so ASan watches the NDJSON and the binary writer), round-trip
+# each file through the schema checker, and replay it with `eal
+# timeline`, which exits 1 if the replayed counters fail to reconcile
+# with the run's own stats (docs/RECORDER.md).
 record_smoke() {
-  local dir="$1" example="$2" name="$3" engine rec
+  local dir="$1" example="$2" name="$3" engine format rec
   shift 3
   for engine in "" --vm; do
-    rec="$dir/record-$name$engine.rec"
-    # shellcheck disable=SC2086
-    "$dir/tools/eal" run "$example" "$@" $engine --record="$rec" >/dev/null
-    python3 "$CHECK_JSON" "$rec"
-    "$dir/tools/eal" timeline "$rec" >/dev/null
+    for format in --record --record-binary; do
+      rec="$dir/record-$name$engine$format.rec"
+      # shellcheck disable=SC2086
+      "$dir/tools/eal" run "$example" "$@" $engine "$format=$rec" >/dev/null
+      python3 "$CHECK_JSON" "$rec"
+      "$dir/tools/eal" timeline "$rec" >/dev/null
+    done
   done
 }
 

@@ -43,7 +43,8 @@
 //   --vm              execute on the bytecode VM instead of the interpreter
 //   --no-reuse / --no-stack / --no-region
 //                     disable individual optimizations
-//   --heap N          initial heap capacity in cells (default 16384)
+//   --heap N          initial heap capacity in cells (default 16384, at
+//                     most 16777216 = 2^24)
 //   --validate        verify every arena free (debugging plans)
 //   -                 read the program from stdin
 //
@@ -127,9 +128,11 @@
 #include "prof/ProfileReport.h"
 #include "prof/Profiler.h"
 #include "sharing/SharingAnalysis.h"
+#include "support/LargeStack.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -225,6 +228,27 @@ bool writeTextFile(const std::string &Path, const std::string &Text) {
   return static_cast<bool>(Out);
 }
 
+/// The largest --heap: 2^24 cells, about 1 GB of cells, all
+/// allocated before the program starts.
+constexpr uint64_t MaxHeapCells = uint64_t(1) << 24;
+
+/// Parses \p Text, the value of \p Flag, as a decimal count of at most
+/// \p Max: digits only, no sign, no trailing junk. Prints an error and
+/// returns false when it is not one.
+bool parseCount(const char *Flag, std::string_view Text, uint64_t Max,
+                uint64_t &Out) {
+  uint64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Stop, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec == std::errc() && Stop == End && V <= Max) {
+    Out = V;
+    return true;
+  }
+  std::cerr << "eal: error: malformed " << Flag << " '" << Text
+            << "' (expected a decimal count of at most " << Max << ")\n";
+  return false;
+}
+
 /// Parses "--spec-inject-deopt" specs: "all" or "SITE[:N]" (N 1-based,
 /// default 1).
 bool parseInjectSpec(const std::string &Spec, spec::SpecInjection &Inject) {
@@ -295,13 +319,20 @@ int runTimeline(int argc, char **argv) {
   return Ok ? 0 : 1;
 }
 
+/// What the command line asks for beyond the pipeline's options: the
+/// files to export and the extra report sections.
+struct CliOutputs {
+  std::string CheckJsonPath, ProfileJsonPath, FoldedPath;
+  std::string AtSpec, ExplainJsonPath, DotPath, LiveJsonPath, SpecJsonPath;
+  bool TimePhases = false;
+};
+
 /// `eal profile`: run the program on both engines under the profiler and
 /// join the two runs with the optimizer's plan into one report. The
 /// parser and optimizer are deterministic, so both runs assign the same
 /// node ids and the site/frames tables line up.
 int runProfile(const std::string &Source, PipelineOptions Options,
-               const std::string &ProfileJsonPath,
-               const std::string &FoldedPath, bool TimePhases) {
+               const CliOutputs &Cli) {
   prof::Profiler TreeProf;
   prof::Profiler VmProf;
 
@@ -339,15 +370,15 @@ int runProfile(const std::string &Source, PipelineOptions Options,
                              R1.Check ? &R1.Check->Findings : nullptr,
                              std::move(Engines));
 
-  if (!ProfileJsonPath.empty())
-    ExportOk = writeTextFile(ProfileJsonPath, Report.toJson()) && ExportOk;
-  if (!FoldedPath.empty())
-    ExportOk = writeTextFile(FoldedPath, Report.folded()) && ExportOk;
+  if (!Cli.ProfileJsonPath.empty())
+    ExportOk = writeTextFile(Cli.ProfileJsonPath, Report.toJson()) && ExportOk;
+  if (!Cli.FoldedPath.empty())
+    ExportOk = writeTextFile(Cli.FoldedPath, Report.folded()) && ExportOk;
 
   std::cout << Report.renderSummary();
   if (R1.Success && R2.Success)
     std::cout << "value: " << R1.RenderedValue << "\n";
-  if (TimePhases) {
+  if (Cli.TimePhases) {
     std::cout << '\n';
     printPhaseTimes(R2);
   }
@@ -359,127 +390,12 @@ int runProfile(const std::string &Source, PipelineOptions Options,
   return ExportOk ? 0 : 1;
 }
 
-} // namespace
-
-int main(int argc, char **argv) {
-  if (argc < 3)
-    return usage();
-  std::string Command = argv[1];
-  std::string Path = argv[2];
-  if (Command == "timeline")
-    return runTimeline(argc, argv);
-  if (Command != "analyze" && Command != "optimize" && Command != "run" &&
-      Command != "disasm" && Command != "report" && Command != "check" &&
-      Command != "profile" && Command != "explain" && Command != "live" &&
-      Command != "spec")
-    return usage();
-
-  PipelineOptions Options;
-  Options.RunProgram = Command == "run" || Command == "report" ||
-                       Command == "profile" || Command == "spec";
-  Options.Spec.Enable = Command == "spec";
-  Options.RunLint = Command == "check" || Command == "profile";
-  Options.RunExplain = Command == "explain";
-  Options.RunLive = Command == "live";
-  Options.Obs.Command = Command;
-  std::string CheckJsonPath, ProfileJsonPath, FoldedPath;
-  std::string AtSpec, ExplainJsonPath, DotPath, LiveJsonPath, SpecJsonPath;
-  bool TimePhases = false;
-  for (int I = 3; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg == "--mono")
-      Options.Mode = TypeInferenceMode::Monomorphic;
-    else if (Arg == "--stdlib")
-      Options.IncludeStdlib = true;
-    else if (Arg == "--vm")
-      Options.Engine = ExecutionEngine::Bytecode;
-    else if (Arg == "--whole-object")
-      Options.Optimize.Analysis = EscapeAnalysisMode::WholeObject;
-    else if (Arg == "--no-reuse")
-      Options.Optimize.EnableReuse = false;
-    else if (Arg == "--no-stack")
-      Options.Optimize.EnableStack = false;
-    else if (Arg == "--no-region")
-      Options.Optimize.EnableRegion = false;
-    else if (Arg == "--validate")
-      Options.Run.ValidateArenaFrees = true;
-    else if (Arg == "--heap" && I + 1 < argc)
-      Options.Run.HeapCapacity = std::strtoul(argv[++I], nullptr, 10);
-    else if (Arg.rfind("--trace=", 0) == 0)
-      Options.Obs.TracePath = Arg.substr(std::strlen("--trace="));
-    else if (Arg.rfind("--stats-json=", 0) == 0)
-      Options.Obs.StatsJsonPath = Arg.substr(std::strlen("--stats-json="));
-    else if (Arg == "--time-phases")
-      TimePhases = true;
-    else if (Arg.rfind("--record=", 0) == 0)
-      Options.Obs.RecordPath = Arg.substr(std::strlen("--record="));
-    else if (Arg.rfind("--record-binary=", 0) == 0) {
-      Options.Obs.RecordPath = Arg.substr(std::strlen("--record-binary="));
-      Options.Obs.RecordBinary = true;
-    } else if (Arg.rfind("--rec-dump=", 0) == 0)
-      Options.Obs.RecDumpPath = Arg.substr(std::strlen("--rec-dump="));
-    else if (Arg == "--check")
-      Options.RunLint = true;
-    else if (Arg == "--oracle")
-      Options.RunOracle = true;
-    else if (Arg == "--live")
-      Options.RunLive = true;
-    else if (Arg == "--live-oracle")
-      Options.RunLiveOracle = true;
-    else if (Arg == "--live-gc") {
-      Options.LiveGcPrune = true;
-      Options.RunLive = true;
-    } else if (Arg.rfind("--live-json=", 0) == 0) {
-      LiveJsonPath = Arg.substr(std::strlen("--live-json="));
-      Options.RunLive = true;
-    } else if (Arg.rfind("--check-json=", 0) == 0) {
-      CheckJsonPath = Arg.substr(std::strlen("--check-json="));
-      Options.RunLint = true;
-    } else if (Arg.rfind("--profile-json=", 0) == 0 && Command == "profile")
-      ProfileJsonPath = Arg.substr(std::strlen("--profile-json="));
-    else if (Arg.rfind("--folded=", 0) == 0 && Command == "profile")
-      FoldedPath = Arg.substr(std::strlen("--folded="));
-    else if (Arg.rfind("--at=", 0) == 0 && Command == "explain")
-      AtSpec = Arg.substr(std::strlen("--at="));
-    else if (Arg.rfind("--explain-json=", 0) == 0 && Command != "profile") {
-      ExplainJsonPath = Arg.substr(std::strlen("--explain-json="));
-      Options.RunExplain = true;
-    } else if (Arg.rfind("--dot=", 0) == 0 && Command != "profile") {
-      DotPath = Arg.substr(std::strlen("--dot="));
-      Options.RunExplain = true;
-    } else if (Arg == "--spec")
-      Options.Spec.Enable = true;
-    else if (Arg.rfind("--spec-inject-deopt=", 0) == 0) {
-      std::string Spec = Arg.substr(std::strlen("--spec-inject-deopt="));
-      if (!parseInjectSpec(Spec, Options.Spec.Inject)) {
-        std::cerr << "eal: error: malformed --spec-inject-deopt '" << Spec
-                  << "' (expected SITE[:N] or all)\n";
-        return 2;
-      }
-      Options.Spec.Enable = true;
-    } else if (Arg.rfind("--spec-cold-max=", 0) == 0)
-      Options.Spec.ColdMaxEntries =
-          std::strtoull(Arg.c_str() + std::strlen("--spec-cold-max="),
-                        nullptr, 10);
-    else if (Arg.rfind("--spec-hot-min=", 0) == 0)
-      Options.Spec.HotMinAllocs =
-          std::strtoull(Arg.c_str() + std::strlen("--spec-hot-min="),
-                        nullptr, 10);
-    else if (Arg.rfind("--spec-json=", 0) == 0) {
-      SpecJsonPath = Arg.substr(std::strlen("--spec-json="));
-      Options.Spec.Enable = true;
-    } else
-      return usage();
-  }
-
-  std::string Source;
-  if (!readSource(Path, Source))
-    return 1;
-  Options.SourceName = Path == "-" ? "<stdin>" : Path;
-
+/// Runs \p Command on \p Source: the pipeline, then the exports and the
+/// report the command prints. Returns the exit code.
+int runCommand(const std::string &Command, const std::string &Source,
+               const PipelineOptions &Options, const CliOutputs &Cli) {
   if (Command == "profile")
-    return runProfile(Source, std::move(Options), ProfileJsonPath, FoldedPath,
-                      TimePhases);
+    return runProfile(Source, Options, Cli);
 
   PipelineResult R = runPipeline(Source, Options);
   if (Command == "disasm" && R.Success) {
@@ -491,53 +407,53 @@ int main(int argc, char **argv) {
   // trace of a failed run is exactly what one wants for debugging it);
   // surface any export errors here.
   bool ExportOk = reportObsErrors(R);
-  if (!ExplainJsonPath.empty()) {
+  if (!Cli.ExplainJsonPath.empty()) {
     if (R.Explain)
-      ExportOk = writeTextFile(ExplainJsonPath,
+      ExportOk = writeTextFile(Cli.ExplainJsonPath,
                                R.Explain->toJson(*R.SM, Command, R.Success)) &&
                  ExportOk;
     else {
-      std::cerr << "eal: error: cannot write '" << ExplainJsonPath << "'\n";
+      std::cerr << "eal: error: cannot write '" << Cli.ExplainJsonPath << "'\n";
       ExportOk = false;
     }
   }
-  if (!DotPath.empty()) {
+  if (!Cli.DotPath.empty()) {
     if (R.Explain)
-      ExportOk = writeTextFile(DotPath, R.Explain->toDot()) && ExportOk;
+      ExportOk = writeTextFile(Cli.DotPath, R.Explain->toDot()) && ExportOk;
     else {
-      std::cerr << "eal: error: cannot write '" << DotPath << "'\n";
+      std::cerr << "eal: error: cannot write '" << Cli.DotPath << "'\n";
       ExportOk = false;
     }
   }
-  if (!LiveJsonPath.empty()) {
+  if (!Cli.LiveJsonPath.empty()) {
     if (R.Live)
       ExportOk =
-          writeTextFile(LiveJsonPath,
+          writeTextFile(Cli.LiveJsonPath,
                         R.Live->toJson(*R.Ast, *R.SM, Command, R.Success)) &&
           ExportOk;
     else {
-      std::cerr << "eal: error: cannot write '" << LiveJsonPath << "'\n";
+      std::cerr << "eal: error: cannot write '" << Cli.LiveJsonPath << "'\n";
       ExportOk = false;
     }
   }
-  if (!SpecJsonPath.empty()) {
+  if (!Cli.SpecJsonPath.empty()) {
     if (R.SpecPlan)
-      ExportOk = writeTextFile(SpecJsonPath,
+      ExportOk = writeTextFile(Cli.SpecJsonPath,
                                spec::specPlanToJson(*R.SpecPlan,
                                                     R.SpecRT.get(), *R.Ast,
                                                     *R.SM)) &&
                  ExportOk;
     else {
-      std::cerr << "eal: error: cannot write '" << SpecJsonPath << "'\n";
+      std::cerr << "eal: error: cannot write '" << Cli.SpecJsonPath << "'\n";
       ExportOk = false;
     }
   }
-  if (!CheckJsonPath.empty()) {
-    std::ofstream Out(CheckJsonPath);
+  if (!Cli.CheckJsonPath.empty()) {
+    std::ofstream Out(Cli.CheckJsonPath);
     if (Out && R.Check)
       Out << R.Check->toJson(*R.SM, Command, R.Success);
     if (!Out || !R.Check) {
-      std::cerr << "eal: error: cannot write '" << CheckJsonPath << "'\n";
+      std::cerr << "eal: error: cannot write '" << Cli.CheckJsonPath << "'\n";
       ExportOk = false;
     }
   }
@@ -564,18 +480,18 @@ int main(int argc, char **argv) {
     printRun(R);
   }
   if (Command == "explain" && R.Explain) {
-    if (AtSpec.empty()) {
+    if (Cli.AtSpec.empty()) {
       std::cout << R.Explain->renderText(*R.SM);
     } else {
       LineColumn LC;
-      if (!parseAt(AtSpec, LC)) {
-        std::cerr << "eal: error: malformed --at '" << AtSpec
+      if (!parseAt(Cli.AtSpec, LC)) {
+        std::cerr << "eal: error: malformed --at '" << Cli.AtSpec
                   << "' (expected [FILE:]LINE:COL)\n";
         return 2;
       }
       auto Selected = R.Explain->chainsAt(*R.SM, LC);
       if (Selected.empty()) {
-        std::cerr << "eal: error: no allocation site at '" << AtSpec
+        std::cerr << "eal: error: no allocation site at '" << Cli.AtSpec
                   << "'\n";
         return 1;
       }
@@ -614,7 +530,7 @@ int main(int argc, char **argv) {
       }
     }
   }
-  if (TimePhases) {
+  if (Cli.TimePhases) {
     std::cout << '\n';
     printPhaseTimes(R);
   }
@@ -624,4 +540,132 @@ int main(int argc, char **argv) {
   if (R.LiveOracle && !R.LiveOracle->report().Violations.empty())
     return 1;
   return ExportOk ? 0 : 1;
+}
+
+} // namespace
+
+int main(int argc, char **argv) {
+  if (argc < 3)
+    return usage();
+  std::string Command = argv[1];
+  std::string Path = argv[2];
+  if (Command == "timeline")
+    return runTimeline(argc, argv);
+  if (Command != "analyze" && Command != "optimize" && Command != "run" &&
+      Command != "disasm" && Command != "report" && Command != "check" &&
+      Command != "profile" && Command != "explain" && Command != "live" &&
+      Command != "spec")
+    return usage();
+
+  PipelineOptions Options;
+  Options.RunProgram = Command == "run" || Command == "report" ||
+                       Command == "profile" || Command == "spec";
+  Options.Spec.Enable = Command == "spec";
+  Options.RunLint = Command == "check" || Command == "profile";
+  Options.RunExplain = Command == "explain";
+  Options.RunLive = Command == "live";
+  Options.Obs.Command = Command;
+  CliOutputs Cli;
+  for (int I = 3; I < argc; ++I) {
+    std::string Arg = argv[I];
+    if (Arg == "--mono")
+      Options.Mode = TypeInferenceMode::Monomorphic;
+    else if (Arg == "--stdlib")
+      Options.IncludeStdlib = true;
+    else if (Arg == "--vm")
+      Options.Engine = ExecutionEngine::Bytecode;
+    else if (Arg == "--whole-object")
+      Options.Optimize.Analysis = EscapeAnalysisMode::WholeObject;
+    else if (Arg == "--no-reuse")
+      Options.Optimize.EnableReuse = false;
+    else if (Arg == "--no-stack")
+      Options.Optimize.EnableStack = false;
+    else if (Arg == "--no-region")
+      Options.Optimize.EnableRegion = false;
+    else if (Arg == "--validate")
+      Options.Run.ValidateArenaFrees = true;
+    else if (Arg == "--heap" && I + 1 < argc) {
+      uint64_t Cells = 0;
+      if (!parseCount("--heap", argv[++I], MaxHeapCells, Cells))
+        return 2;
+      Options.Run.HeapCapacity = Cells;
+    } else if (Arg.rfind("--trace=", 0) == 0)
+      Options.Obs.TracePath = Arg.substr(std::strlen("--trace="));
+    else if (Arg.rfind("--stats-json=", 0) == 0)
+      Options.Obs.StatsJsonPath = Arg.substr(std::strlen("--stats-json="));
+    else if (Arg == "--time-phases")
+      Cli.TimePhases = true;
+    else if (Arg.rfind("--record=", 0) == 0)
+      Options.Obs.RecordPath = Arg.substr(std::strlen("--record="));
+    else if (Arg.rfind("--record-binary=", 0) == 0) {
+      Options.Obs.RecordPath = Arg.substr(std::strlen("--record-binary="));
+      Options.Obs.RecordBinary = true;
+    } else if (Arg.rfind("--rec-dump=", 0) == 0)
+      Options.Obs.RecDumpPath = Arg.substr(std::strlen("--rec-dump="));
+    else if (Arg == "--check")
+      Options.RunLint = true;
+    else if (Arg == "--oracle")
+      Options.RunOracle = true;
+    else if (Arg == "--live")
+      Options.RunLive = true;
+    else if (Arg == "--live-oracle")
+      Options.RunLiveOracle = true;
+    else if (Arg == "--live-gc") {
+      Options.LiveGcPrune = true;
+      Options.RunLive = true;
+    } else if (Arg.rfind("--live-json=", 0) == 0) {
+      Cli.LiveJsonPath = Arg.substr(std::strlen("--live-json="));
+      Options.RunLive = true;
+    } else if (Arg.rfind("--check-json=", 0) == 0) {
+      Cli.CheckJsonPath = Arg.substr(std::strlen("--check-json="));
+      Options.RunLint = true;
+    } else if (Arg.rfind("--profile-json=", 0) == 0 && Command == "profile")
+      Cli.ProfileJsonPath = Arg.substr(std::strlen("--profile-json="));
+    else if (Arg.rfind("--folded=", 0) == 0 && Command == "profile")
+      Cli.FoldedPath = Arg.substr(std::strlen("--folded="));
+    else if (Arg.rfind("--at=", 0) == 0 && Command == "explain")
+      Cli.AtSpec = Arg.substr(std::strlen("--at="));
+    else if (Arg.rfind("--explain-json=", 0) == 0 && Command != "profile") {
+      Cli.ExplainJsonPath = Arg.substr(std::strlen("--explain-json="));
+      Options.RunExplain = true;
+    } else if (Arg.rfind("--dot=", 0) == 0 && Command != "profile") {
+      Cli.DotPath = Arg.substr(std::strlen("--dot="));
+      Options.RunExplain = true;
+    } else if (Arg == "--spec")
+      Options.Spec.Enable = true;
+    else if (Arg.rfind("--spec-inject-deopt=", 0) == 0) {
+      std::string Spec = Arg.substr(std::strlen("--spec-inject-deopt="));
+      if (!parseInjectSpec(Spec, Options.Spec.Inject)) {
+        std::cerr << "eal: error: malformed --spec-inject-deopt '" << Spec
+                  << "' (expected SITE[:N] or all)\n";
+        return 2;
+      }
+      Options.Spec.Enable = true;
+    } else if (Arg.rfind("--spec-cold-max=", 0) == 0) {
+      if (!parseCount("--spec-cold-max",
+                      Arg.substr(std::strlen("--spec-cold-max=")), UINT64_MAX,
+                      Options.Spec.ColdMaxEntries))
+        return 2;
+    } else if (Arg.rfind("--spec-hot-min=", 0) == 0) {
+      if (!parseCount("--spec-hot-min",
+                      Arg.substr(std::strlen("--spec-hot-min=")), UINT64_MAX,
+                      Options.Spec.HotMinAllocs))
+        return 2;
+    } else if (Arg.rfind("--spec-json=", 0) == 0) {
+      Cli.SpecJsonPath = Arg.substr(std::strlen("--spec-json="));
+      Options.Spec.Enable = true;
+    } else
+      return usage();
+  }
+
+  std::string Source;
+  if (!readSource(Path, Source))
+    return 1;
+  Options.SourceName = Path == "-" ? "<stdin>" : Path;
+
+  // Printing and the disasm compile recurse as deep as the program, like
+  // the pipeline, so the whole command runs on the pipeline's big stack.
+  int Rc = 1;
+  runOnLargeStack([&] { Rc = runCommand(Command, Source, Options, Cli); });
+  return Rc;
 }
