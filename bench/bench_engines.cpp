@@ -51,11 +51,7 @@ PipelineOptions engineConfig(bool UseVm, bool Optimized) {
 //   obs_overhead/map_pair/n=2000/recorder_{on,off}
 // which `tools/bench_diff.py --overhead` gates at <=2%. The workload is
 // sized to clear bench_diff's --min-seconds noise floor (the gate skips
-// sub-floor pairs, and a skipped gate is no gate). When the recorder is
-// compiled out (-DEAL_OBS_RECORDER=OFF) both configurations are
-// provably the same code — every emit site folds to nothing — so one
-// measurement is reported for both rows and the gated overhead is
-// exactly 0%.
+// sub-floor pairs, and a skipped gate is no gate).
 void measureRecorderOverhead(std::vector<BenchRecord> &Records) {
   const std::string Source = mapPairWorkloadSource(2000);
   const PipelineOptions Options = engineConfig(false, true);
@@ -63,8 +59,6 @@ void measureRecorderOverhead(std::vector<BenchRecord> &Records) {
   std::cout << "=== obs.overhead: flight-recorder lite tier ===\n";
   timedRun(Records, "obs_overhead/map_pair/n=2000/recorder_on", 2000,
            Source, Options);
-  double OnSec = -1, OffSec = -1;
-#if EAL_OBS_RECORDER
   size_t OnIdx = Records.size() - 1;
   timedRun(Records, "obs_overhead/map_pair/n=2000/recorder_off", 2000,
            Source, Options);
@@ -98,20 +92,11 @@ void measureRecorderOverhead(std::vector<BenchRecord> &Records) {
     PairRatios.push_back(Sec[1] / Sec[0]);
   }
   obs::rec::setLiteEnabled(true);
-  OffSec = median(OffSecs);
+  double OffSec = median(OffSecs);
   double Ratio = median(PairRatios);
-  OnSec = OffSec > 0 && Ratio > 0 ? OffSec * Ratio : -1;
+  double OnSec = OffSec > 0 && Ratio > 0 ? OffSec * Ratio : -1;
   Records[OnIdx].ExecuteSeconds = OnSec;
   Records.back().ExecuteSeconds = OffSec;
-#else
-  OnSec = OffSec = bestExecuteSeconds(Source, Options, Reps);
-  Records.back().ExecuteSeconds = OnSec;
-  BenchRecord Off = Records.back();
-  Off.Name = "obs_overhead/map_pair/n=2000/recorder_off";
-  Records.push_back(std::move(Off));
-  std::cout << "recorder compiled out (EAL_OBS_RECORDER=0): both rows "
-               "measure identical code\n";
-#endif
   if (OnSec > 0 && OffSec > 0)
     std::cout << "recorder on " << static_cast<int64_t>(OnSec * 1e6)
               << " us, off " << static_cast<int64_t>(OffSec * 1e6)

@@ -11,7 +11,6 @@
 #include "obs/Recorder.h"
 #include "driver/Stdlib.h"
 #include "lang/AstUtils.h"
-#include "lang/Lexer.h"
 #include "lang/Parser.h"
 #include "prof/Profiler.h"
 #include "runtime/ValuePrinter.h"
@@ -58,25 +57,10 @@ void runPipelineImpl(const std::string &Source,
   R.SM->setBuffer(Options.IncludeStdlib ? withStdlib(Source) : Source,
                   Options.SourceName);
 
-  // The parser lexes on the fly, so a standalone lex phase is redundant
-  // work; run a counting pre-pass only when a trace is being recorded,
-  // where a complete per-phase picture is worth one extra scan.
-  if (obs::tracingEnabled()) {
-    obs::PhaseTimer T(&R.PhaseMicros, "lex");
-    DiagnosticEngine ScratchDiags;
-    Lexer L(R.SM->buffer(), ScratchDiags);
-    uint64_t Tokens = 0;
-    while (L.next().Kind != TokenKind::EndOfFile)
-      ++Tokens;
-    T.span().arg("tokens", Tokens);
-    T.span().arg("bytes", static_cast<uint64_t>(R.SM->buffer().size()));
-  }
-
   {
     obs::PhaseTimer T(&R.PhaseMicros, "parse");
     Parser P(R.SM->buffer(), *R.Ast, *R.Diags);
     R.ParsedRoot = P.parseProgram();
-    T.span().arg("nodes", static_cast<uint64_t>(R.Ast->numNodes()));
   }
   if (!R.ParsedRoot)
     return;
@@ -94,7 +78,6 @@ void runPipelineImpl(const std::string &Source,
       for (std::string_view Name : stdlibBindingNames())
         LO.ExemptTopLevel.emplace_back(Name);
     check::lintSource(*R.Ast, R.ParsedRoot, LO, *R.Check);
-    T.span().arg("findings", static_cast<uint64_t>(R.Check->Findings.size()));
   }
 
   {
@@ -151,8 +134,6 @@ void runPipelineImpl(const std::string &Source,
     if (Options.RunExplain)
       R.Explain = explain::buildExplainReport(*R.Ast, FinalTyped,
                                               Sites, *R.Prov);
-    T.span().arg("sites", static_cast<uint64_t>(Sites.size()));
-    T.span().arg("facts", static_cast<uint64_t>(R.Prov->numFacts()));
   }
 
   if (RunLive) {
@@ -171,9 +152,6 @@ void runPipelineImpl(const std::string &Source,
         LLO.ExemptContexts.emplace_back(Name);
     check::lintLiveness(*R.Ast, *R.Live, classifySitesOnce(),
                         &FinalTyped, R.Prov.get(), LLO, *R.Check);
-    T.span().arg("rounds", static_cast<uint64_t>(R.Live->Rounds));
-    T.span().arg("sites", static_cast<uint64_t>(R.Live->Sites.size()));
-    T.span().arg("dead", static_cast<uint64_t>(R.Live->deadSiteCount()));
   }
   if (R.Prov && obs::metricsEnabled())
     R.Prov->exportTo(obs::globalMetrics());
@@ -219,9 +197,6 @@ void runPipelineImpl(const std::string &Source,
     T.emplace(Phases, "run");
     std::optional<RtValue> Value = OnVm ? R.TheVm->run() : R.Interp->run();
     R.Stats = OnVm ? R.TheVm->stats() : R.Interp->stats();
-    T->span().arg("steps", R.Stats.Steps);
-    T->span().arg("applications", R.Stats.Applications);
-    T->span().arg("heap_cells", R.Stats.HeapCellsAllocated);
     return Value;
   };
 
@@ -260,8 +235,6 @@ void runPipelineImpl(const std::string &Source,
       R.TheVm.reset();
       R.Code.reset();
       R.Interp.reset();
-      T.span().arg("branches",
-                   static_cast<uint64_t>(Branches.numBranchesSeen()));
     }
     if (PreRan) {
       obs::PhaseTimer T(&R.PhaseMicros, "spec-plan");
@@ -273,8 +246,6 @@ void runPipelineImpl(const std::string &Source,
                                                        Options.Spec.Inject);
         RunOpts.Spec = R.SpecRT.get();
       }
-      T.span().arg("speculations",
-                   static_cast<uint64_t>(R.SpecPlan->Specs.size()));
     }
   }
   // The plan the engines execute: merged (conservative + guarded
@@ -288,7 +259,6 @@ void runPipelineImpl(const std::string &Source,
     RunOpts.ValidateArenaFrees = true;
     R.Oracle = std::make_unique<check::EscapeOracle>(
         *R.Ast, check::buildClaimTable(*R.Ast, FinalTyped, FinalAnalyzer));
-    T.span().arg("claims", static_cast<uint64_t>(R.Oracle->claimCount()));
   }
   if (Options.RunLiveOracle) {
     obs::PhaseTimer T(&R.PhaseMicros, "live-claims");
@@ -297,7 +267,6 @@ void runPipelineImpl(const std::string &Source,
     for (const live::SiteLive &S : R.Live->Sites)
       Claims.SiteLocs.emplace(S.Site->id(), S.Site->loc());
     R.LiveOracle = std::make_unique<check::LivenessOracle>(std::move(Claims));
-    T.span().arg("dead_claims", R.LiveOracle->report().DeadSitesClaimed);
   }
   // One channel for every consumer of the measured run's cell events.
   // The recorder's detail tier rides along only while a stream is open.
@@ -317,11 +286,9 @@ void runPipelineImpl(const std::string &Source,
   // analysis layers nest inside "optimize".
   {
     obs::PhaseTimer T(&R.PhaseMicros, "execute");
-    T.span().arg("engine", OnVm ? "bytecode" : "tree-walker");
     R.Value = Execute(ExecPlan,
                       R.SpecRT ? &R.SpecPlan->GuardsByBranch : nullptr,
                       *R.Diags, RunOpts, &R.PhaseMicros);
-    T.span().arg("steps", R.Stats.Steps);
   }
   if (obs::metricsEnabled())
     R.Stats.exportTo(obs::globalMetrics());
@@ -346,17 +313,16 @@ void runPipelineImpl(const std::string &Source,
 PipelineResult eal::runPipeline(const std::string &Source,
                                 const PipelineOptions &Options) {
   const ObservabilityOptions &Obs = Options.Obs;
-  if (!Obs.TracePath.empty())
-    obs::enableTracing();
   if (!Obs.StatsJsonPath.empty())
     obs::enableMetrics();
 
   PipelineResult R;
 
   // Flight-recorder wiring (docs/RECORDER.md). Arm the crash dump
-  // before anything can fail, then start the stream: it holds exactly
-  // this run's events, and startStream clears the flight ring, so a dump
-  // taken during the stream holds this run's events alone.
+  // before anything can fail, then open the stream and the Chrome
+  // trace: both hold exactly this run's events, and startStream clears
+  // the flight ring, so a dump taken during the stream holds this run's
+  // events alone.
   if (!Obs.RecDumpPath.empty())
     obs::rec::setDumpPath(Obs.RecDumpPath, Obs.Command);
   bool Streaming = false;
@@ -371,6 +337,10 @@ PipelineResult eal::runPipeline(const std::string &Source,
     else
       R.ObsExportErrors.push_back(Err);
   }
+  const bool Tracing =
+      !Obs.TracePath.empty() && obs::rec::startTrace(Obs.TracePath);
+  if (!Obs.TracePath.empty() && !Tracing)
+    R.ObsExportErrors.push_back("cannot write '" + Obs.TracePath + "'");
   if (obs::rec::on())
     obs::rec::emit(obs::rec::RecKind::RunBegin,
                    obs::rec::internName(Obs.Command),
@@ -391,13 +361,9 @@ PipelineResult eal::runPipeline(const std::string &Source,
     });
 
   // Exports happen even on failure: a trace of a failed run is exactly
-  // what one wants for debugging it. Spans still open at this point (a
-  // phase aborted mid-flight) are flushed as complete events first so
-  // neither export silently drops them; the flush count is itself
-  // exported as the obs.export.dropped_spans counter.
-  if (!Obs.TracePath.empty() || !Obs.StatsJsonPath.empty())
-    obs::flushOpenSpans();
-  if (!Obs.TracePath.empty() && !obs::writeChromeTrace(Obs.TracePath))
+  // what one wants for debugging it. Every phase has ended by now, so
+  // the trace's "B"/"E" pairs balance.
+  if (Tracing && !obs::rec::stopTrace())
     R.ObsExportErrors.push_back("cannot write '" + Obs.TracePath + "'");
   if (!Obs.StatsJsonPath.empty() &&
       !writeStatsJson(Obs.StatsJsonPath, Obs.Command, R))

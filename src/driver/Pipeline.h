@@ -54,14 +54,16 @@ enum class ExecutionEngine {
 
 /// Observability routing (docs/OBSERVABILITY.md), honored uniformly by
 /// every pipeline entry regardless of which subcommand drives it. The
-/// pipeline enables the corresponding obs:: subsystems up front and
-/// exports on the way out — including on early-failure paths, since a
-/// trace of a failed run is exactly what one wants for debugging it.
-/// Export failures land in PipelineResult::ObsExportErrors rather than
+/// pipeline opens its outputs up front and closes or exports them on
+/// the way out — including on early-failure paths, since a trace of a
+/// failed run is exactly what one wants for debugging it. Export
+/// failures land in PipelineResult::ObsExportErrors rather than
 /// flipping Success (the run itself may have been fine).
 struct ObservabilityOptions {
-  /// Record phase spans, fixpoint iterates, GC and arena events, and
-  /// write a Chrome trace_event JSON file here. Empty disables tracing.
+  /// Write the flight recorder's lite events (phases, GC cycles, heap
+  /// growth, arena opens and frees, deopts, oracle refutations) here
+  /// as a Chrome trace_event JSON file, as the run emits them. Tracing
+  /// changes no work the run does. Empty disables tracing.
   std::string TracePath;
   /// Write runtime counters + the metrics registry as an eal-stats-v1
   /// JSON document here. Empty disables metrics.
@@ -217,13 +219,12 @@ struct PipelineResult {
   /// borrows it, so it must outlive the engine).
   std::unique_ptr<std::unordered_set<uint32_t>> LiveDeadSites;
 
-  /// Wall time of each pipeline phase in run order, as {name, µs}. The
-  /// "lex" entry appears only when tracing is enabled (a counting
-  /// pre-pass; parsing lexes on the fly). Two phases nest others and
-  /// overlap them: "escape", "sharing", "retype", "final-escape" and
-  /// "plan" come from inside "optimize", and "compile" (VM only),
-  /// "heap-init" and "run" from inside "execute". The top-level entries
-  /// sum to nearly the whole runPipeline wall time.
+  /// Wall time of each pipeline phase in the order the phases end, as
+  /// {name, µs}. Two phases nest others and overlap them: "escape",
+  /// "sharing", "retype", "final-escape" and "plan" come from inside
+  /// "optimize", and "compile" (VM only), "heap-init" and "run" from
+  /// inside "execute". The top-level entries sum to nearly the whole
+  /// runPipeline wall time.
   obs::PhaseTimer::PhaseTimes PhaseMicros;
 
   /// Failures of the ObservabilityOptions exports ("cannot write

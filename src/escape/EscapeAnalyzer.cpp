@@ -10,7 +10,6 @@
 #include "lang/AstUtils.h"
 #include "support/Diagnostics.h"
 #include "support/Metrics.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -23,12 +22,7 @@ EscapeAnalyzer::EscapeAnalyzer(const AstContext &Ast,
                                DiagnosticEngine &Diags, unsigned MaxRounds,
                                EscapeAnalysisMode Mode)
     : Ast(Ast), Program(Program), Diags(Diags), Mode(Mode),
-      Solver(ValueLattice{&Store}, MaxRounds) {
-  // When a trace is being recorded, the per-binding iterates (the
-  // append^(k) tables of Appendix A.1) are part of what it should show.
-  if (obs::tracingEnabled())
-    Tracing = true;
-}
+      Solver(ValueLattice{&Store}, MaxRounds) {}
 
 unsigned EscapeAnalyzer::modeSpineCount(const Type *T) const {
   return Mode == EscapeAnalysisMode::WholeObject ? 0 : spineCount(T);
@@ -56,13 +50,8 @@ ValueId EscapeAnalyzer::runToFixpoint(RootFn &&Root) {
     Result = Root();
     // Convergence telemetry: how many cache entries moved up the lattice
     // this round (the final, stable round records 0).
-    if (Tracing) {
+    if (Tracing)
       RoundChanges.push_back(Solver.roundRaises());
-      if (obs::tracingEnabled())
-        obs::instant("fixpoint.round", "fixpoint",
-                     {{"round", std::to_string(Solver.rounds())},
-                      {"changed_vars", std::to_string(Solver.roundRaises())}});
-    }
   });
   if (!Converged)
     Diags.error(SourceLoc::invalid(),
@@ -114,16 +103,8 @@ ValueId EscapeAnalyzer::materializeBinding(LetrecInstId Inst, uint32_t Index) {
        B.Value->loc()},
       [&] { return std::string(Ast.spelling(B.Name)); },
       [&](uint32_t) { return eval(B.Value, letrecBodyEnv(Inst)); });
-  if (Grew && Tracing) {
+  if (Grew && Tracing)
     Trace.push_back({B.Name, Solver.rounds(), Store.str(Entry.Val), *Grew});
-    const FixpointTraceEntry &TE = Trace.back();
-    if (obs::tracingEnabled())
-      obs::instant("fixpoint.iterate", "fixpoint",
-                   {{"binding", obs::jsonQuote(Ast.spelling(TE.Binding))},
-                    {"round", std::to_string(TE.Round)},
-                    {"value", obs::jsonQuote(TE.Value)},
-                    {"changed", TE.Changed ? "true" : "false"}});
-  }
   return Entry.Val;
 }
 
@@ -590,7 +571,6 @@ EscapeAnalyzer::localEscapeUnder(const Expr *CallSite, unsigned ParamIndex,
 }
 
 ProgramEscapeReport EscapeAnalyzer::analyzeProgram() {
-  obs::Span ProgramSpan("escape.analyzeProgram", "escape");
   ProgramEscapeReport Report;
   const auto *Letrec = dyn_cast<LetrecExpr>(Program.root());
   if (!Letrec)
@@ -600,8 +580,6 @@ ProgramEscapeReport EscapeAnalyzer::analyzeProgram() {
     unsigned Arity = lambdaArity(Binding.Value);
     if (Arity == 0)
       continue; // not a function binding
-    obs::Span FnSpan("escape.function", "escape");
-    size_t TraceBase = Trace.size();
     FunctionEscape FE;
     FE.Name = Binding.Name;
     FE.FunctionType = Program.typeOf(Binding.Value);
@@ -610,44 +588,17 @@ ProgramEscapeReport EscapeAnalyzer::analyzeProgram() {
     for (unsigned I = 0; I != Arity; ++I)
       ResultType = cast<FunType>(ResultType)->result();
     FE.ResultSpines = spineCount(ResultType);
-    unsigned FnRounds = 0;
     for (unsigned I = 0; I != Arity; ++I) {
       std::optional<ParamEscape> PE = globalEscape(Binding.Name, I);
       assert(PE && "binding disappeared mid-analysis");
       FE.Params.push_back(*PE);
       TotalRounds += Solver.rounds();
-      FnRounds += Solver.rounds();
-    }
-    if (FnSpan.active()) {
-      // The change set is the number of binding iterates that actually
-      // moved up the lattice while this function's queries ran.
-      uint64_t ChangedIterates = 0;
-      for (size_t I = TraceBase; I != Trace.size(); ++I)
-        if (Trace[I].Changed)
-          ++ChangedIterates;
-      FnSpan.arg("function", Ast.spelling(Binding.Name));
-      FnSpan.arg("rounds", static_cast<uint64_t>(FnRounds));
-      FnSpan.arg("changed_iterates", ChangedIterates);
-      FnSpan.arg("apply_cache_entries",
-                 static_cast<uint64_t>(ApplyCache.size()));
-      FnSpan.arg("distinct_values",
-                 static_cast<uint64_t>(Store.numValues()));
     }
     Report.Functions.push_back(std::move(FE));
   }
   Report.FixpointRounds = TotalRounds;
   Report.ApplyCacheEntries = ApplyCache.size();
   Report.DistinctValues = Store.numValues();
-  if (ProgramSpan.active()) {
-    ProgramSpan.arg("functions",
-                    static_cast<uint64_t>(Report.Functions.size()));
-    ProgramSpan.arg("fixpoint_rounds",
-                    static_cast<uint64_t>(Report.FixpointRounds));
-    ProgramSpan.arg("apply_cache_entries",
-                    static_cast<uint64_t>(Report.ApplyCacheEntries));
-    ProgramSpan.arg("distinct_values",
-                    static_cast<uint64_t>(Report.DistinctValues));
-  }
   return Report;
 }
 

@@ -13,7 +13,8 @@
 /// deopt causes, dump triggers) are interned to small ids and the table
 /// is written once per recording (see Recorder.h).
 ///
-/// Payload conventions (Timeline.cpp decodes these):
+/// Payload conventions (Timeline.cpp decodes these, and the Chrome
+/// trace writer in Recorder.cpp names them):
 ///
 ///   RunBegin       A=name(command)      B=name(engine)
 ///   RunEnd         A=success(0/1)

@@ -9,15 +9,18 @@
 //   - the recorder state, the flight ring among it: the newest events,
 //     overwritten oldest first;
 //   - the eal-rec-v1 writer (NDJSON and binary, docs/RECORDER.md);
-//   - emit, which stores into the ring and, while a stream is open,
-//     writes the event to the stream file;
+//   - the Chrome trace writer (--trace=FILE), one trace_event object
+//     per lite event;
+//   - emit, which stores into the ring and writes the event to the
+//     stream file and the Chrome trace that are open;
 //   - the string interner feeding 16-bit name ids into events;
 //   - the stream (--record=FILE) and the crash-dump path
 //     (setDumpPath/dumpNow + SIGABRT hook);
 //   - PhaseTimer, whose phases become the timeline's bands.
 //
 // Every producer runs on the thread that runs the pipeline, so the
-// recorder takes no lock and the stream is in emission (= time) order.
+// recorder takes no lock, and the stream and the trace are in emission
+// (= time) order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +32,7 @@
 #include <charconv>
 #include <csignal>
 #include <fstream>
+#include <iterator>
 #include <unordered_map>
 #include <vector>
 
@@ -82,6 +86,13 @@ struct RecState {
   bool Streaming = false;
   bool Binary = false;
   std::ofstream Out;
+
+  // Chrome trace (--trace=FILE): every lite event is also written here
+  // as it is emitted. TraceEmpty: no element written yet, so the next
+  // one takes no leading comma.
+  bool Tracing = false;
+  bool TraceEmpty = true;
+  std::ofstream TraceOut;
 
   // Crash dump. Armed is the first-trigger-wins latch: the first
   // dumpNow() disarms it.
@@ -165,6 +176,75 @@ void writeFooter(std::ostream &OS, const RecState &S, uint64_t Dropped,
      << "}\n";
 }
 
+//===----------------------------------------------------------------------===//
+// Chrome trace writer
+//===----------------------------------------------------------------------===//
+
+/// The trace args of one kind: the names of its payload words A, B, C
+/// (RecEvent.h; null ends the list) and, as bits 0 (A) and 1 (B), the
+/// words that hold an interned name.
+struct TraceArgs {
+  const char *Key[3] = {nullptr, nullptr, nullptr};
+  unsigned Interned = 0;
+};
+
+const TraceArgs TraceArgTable[] = {
+    {},                                            // none
+    {{"command", "engine"}, 3},                    // run.begin
+    {{"success"}},                                 // run.end
+    {},                                            // phase.begin: the name
+    {},                                            // phase.end: the name
+    {{"live", "capacity"}},                        // gc.begin
+    {{"marked", "swept", "live"}},                 // gc.end
+    {{"capacity"}},                                // heap.grow
+    {{"handle"}},                                  // arena.open
+    {{"stack_cells", "region_cells", "handle"}},   // arena.free
+    {}, {}, {}, {}, {},                            // cell.*: not written
+    {{"cause", "migrated", "site"}, 1},            // spec.deopt
+    {{"site", "violation"}, 2},                    // oracle.refuted
+    {{"site", "violation"}, 2},                    // live.refuted
+    {},                                            // dump.trigger: dumps only
+};
+static_assert(std::size(TraceArgTable) ==
+                  static_cast<size_t>(RecKind::NumKinds),
+              "trace arg table out of sync");
+
+/// One trace_event object. Phases and GC cycles are "B"/"E" pairs named
+/// by the phase and "gc"; every other kind is a thread-scoped instant
+/// named by its kind. The category is the kind's family ("phase",
+/// "gc", "arena", ...).
+void writeChromeEvent(RecState &S, const RecEvent &Ev) {
+  const auto K = static_cast<RecKind>(Ev.Kind);
+  if (K >= RecKind::CellBirth && K <= RecKind::CellMigrate)
+    return; // the per-cell detail tier has no trace view
+  const std::string_view Kind = kindName(K);
+  std::string Name(Kind);
+  char Ph = 'i';
+  if (K == RecKind::PhaseBegin || K == RecKind::PhaseEnd) {
+    Name = lookupName(static_cast<uint16_t>(Ev.A));
+    Ph = K == RecKind::PhaseBegin ? 'B' : 'E';
+  } else if (K == RecKind::GcBegin || K == RecKind::GcEnd) {
+    Name = "gc";
+    Ph = K == RecKind::GcBegin ? 'B' : 'E';
+  }
+  std::ostream &OS = S.TraceOut;
+  OS << (S.TraceEmpty ? "" : ",\n") << "{\"name\":" << jsonQuote(Name)
+     << ",\"cat\":" << jsonQuote(Kind.substr(0, Kind.find('.')))
+     << ",\"ph\":\"" << Ph << (Ph == 'i' ? "\",\"s\":\"t" : "")
+     << "\",\"ts\":" << Ev.TimeUs << ",\"pid\":1,\"tid\":" << Ev.Tid;
+  const TraceArgs &Args = TraceArgTable[Ev.Kind];
+  const uint64_t Words[] = {Ev.A, Ev.B, Ev.C};
+  for (unsigned I = 0; I != 3 && Args.Key[I]; ++I) {
+    OS << (I ? ",\"" : ",\"args\":{\"") << Args.Key[I] << "\":";
+    if (Args.Interned >> I & 1)
+      OS << jsonQuote(lookupName(static_cast<uint16_t>(Words[I])));
+    else
+      OS << Words[I];
+  }
+  OS << (Args.Key[0] ? "}}" : "}");
+  S.TraceEmpty = false;
+}
+
 } // namespace
 
 void rec::detail::emitSlow(RecKind K, uint64_t A, uint64_t B, uint32_t C) {
@@ -178,6 +258,8 @@ void rec::detail::emitSlow(RecKind K, uint64_t A, uint64_t B, uint32_t C) {
   Ev.Tid = 0;
   if (S.Streaming)
     writeEvent(S.Out, Ev, S.Binary);
+  if (S.Tracing)
+    writeChromeEvent(S, Ev);
 }
 
 //===----------------------------------------------------------------------===//
@@ -265,6 +347,33 @@ bool rec::stopStream(std::string *Err) {
 bool rec::streaming() { return state().Streaming; }
 
 //===----------------------------------------------------------------------===//
+// Chrome trace
+//===----------------------------------------------------------------------===//
+
+bool rec::startTrace(const std::string &Path) {
+  RecState &S = state();
+  if (S.Tracing)
+    return false;
+  S.TraceOut.open(Path, std::ios::out | std::ios::trunc);
+  if (!S.TraceOut)
+    return false;
+  S.TraceOut << "[\n";
+  S.Tracing = true;
+  S.TraceEmpty = true;
+  return true;
+}
+
+bool rec::stopTrace() {
+  RecState &S = state();
+  if (!S.Tracing)
+    return true;
+  S.Tracing = false;
+  S.TraceOut << "\n]\n";
+  S.TraceOut.close();
+  return static_cast<bool>(S.TraceOut);
+}
+
+//===----------------------------------------------------------------------===//
 // Crash dumps
 //===----------------------------------------------------------------------===//
 
@@ -343,9 +452,8 @@ void rec::finalCounter(std::string_view Key, uint64_t Value) {
 // PhaseTimer
 //===----------------------------------------------------------------------===//
 
-obs::PhaseTimer::PhaseTimer(PhaseTimes *Out, const char *Name,
-                            const char *Category)
-    : Out(Out), Name(Name), S(Name, Category), StartUs(nowMicros()) {
+obs::PhaseTimer::PhaseTimer(PhaseTimes *Out, const char *Name)
+    : Out(Out), Name(Name), StartUs(nowMicros()) {
   if (rec::on()) {
     NameId = internName(Name);
     emit(RecKind::PhaseBegin, NameId);

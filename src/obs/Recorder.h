@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The flight recorder (docs/RECORDER.md): runtime subsystems emit
-/// compact RecEvents on the thread that runs the pipeline, and three
-/// consumers read them:
+/// compact RecEvents on the thread that runs the pipeline. It is the
+/// one producer of timed events, and four consumers read them:
 ///
 ///  - the always-on flight ring, which keeps the newest events;
 ///    dumpNow() writes them as an `eal-rec-v1` file when something goes
@@ -17,6 +17,8 @@
 ///  - the stream (`--record=FILE`): while it is open, emit also writes
 ///    each event to an NDJSON or binary file, so the file holds every
 ///    event in emission order;
+///  - the Chrome trace (`--trace=FILE`): while it is open, emit also
+///    writes each lite event as a Chrome trace_event object;
 ///  - `eal timeline` (Timeline.h): replays a recording into heap
 ///    occupancy curves, cell lifetime ribbons, and phase/GC bands.
 ///
@@ -31,15 +33,10 @@
 ///    (runtime/ExecutionObserver.h) to the measured run while a stream
 ///    is open, so only streams carry them.
 ///
-/// Compiling with -DEAL_OBS_RECORDER=OFF turns `on()` into `constexpr
-/// false`, so every emit site is dead-code-eliminated (the
-/// 0%-compiled-out guarantee); the stream/dump/timeline machinery still
-/// builds, it just sees no events.
-///
 //===----------------------------------------------------------------------===//
 
-#ifndef EAL_OBS_RECORDER_H
-#define EAL_OBS_RECORDER_H
+#ifndef EAL_OBS_FLIGHT_RECORDER_H
+#define EAL_OBS_FLIGHT_RECORDER_H
 
 #include "obs/RecEvent.h"
 #include "support/Trace.h"
@@ -51,26 +48,17 @@
 #include <utility>
 #include <vector>
 
-// The build defines EAL_OBS_RECORDER to 1/0 (CMake option, default ON).
-#ifndef EAL_OBS_RECORDER
-#define EAL_OBS_RECORDER 1
-#endif
-
 namespace eal::obs::rec {
 
 namespace detail {
 extern std::atomic<bool> LiteOn; ///< master switch (bench kill switch)
-/// Stamps the time, stores into the flight ring and, while a stream is
-/// open, writes the event to the stream file.
+/// Stamps the time, stores into the flight ring and writes the event to
+/// the stream file and the Chrome trace that are open.
 void emitSlow(RecKind K, uint64_t A, uint64_t B, uint32_t C);
 } // namespace detail
 
-#if EAL_OBS_RECORDER
 /// True when lite events are being recorded (the always-on default).
 inline bool on() { return detail::LiteOn.load(std::memory_order_relaxed); }
-#else
-constexpr bool on() { return false; }
-#endif
 
 /// Records one event (no-op unless on(); a single relaxed load when
 /// idle). Payload word meanings are per-kind, see RecEvent.h.
@@ -117,6 +105,20 @@ bool stopStream(std::string *Err);
 bool streaming();
 
 //===----------------------------------------------------------------------===//
+// Chrome trace (--trace=FILE)
+//===----------------------------------------------------------------------===//
+
+/// Opens \p Path and writes every later event to it, as it is emitted,
+/// as one element of a Chrome trace_event JSON array: phase and GC
+/// begin/end as "B"/"E" pairs, the other lite kinds as "i" instants
+/// whose args name the payload words (RecEvent.h). cell.* events are
+/// not written. Returns false on I/O failure or if a trace is open.
+bool startTrace(const std::string &Path);
+/// Closes the array and the file. Returns false on I/O failure; no-op
+/// (true) when no trace is open.
+bool stopTrace();
+
+//===----------------------------------------------------------------------===//
 // Crash dumps
 //===----------------------------------------------------------------------===//
 
@@ -152,31 +154,27 @@ namespace eal::obs {
 //===----------------------------------------------------------------------===//
 
 /// RAII timer for one pipeline or optimizer phase: always measures wall
-/// time (independent of tracing) and appends {Name, micros} to \p Out at
-/// destruction. Additionally it emits a Span event when tracing is
-/// enabled, per-phase counters into the global metrics registry when
-/// metrics are enabled (see Metrics.h), and PhaseBegin/PhaseEnd recorder
-/// events, so timelines get phase bands even when tracing is off.
+/// time and appends {Name, micros} to \p Out at destruction.
+/// Additionally it emits PhaseBegin/PhaseEnd recorder events (the
+/// timeline's phase bands and the Chrome trace's "B"/"E" pairs) and,
+/// when metrics are enabled (see Metrics.h), per-phase counters into
+/// the global metrics registry.
 class PhaseTimer {
 public:
   using PhaseTimes = std::vector<std::pair<std::string, int64_t>>;
 
-  PhaseTimer(PhaseTimes *Out, const char *Name,
-             const char *Category = "pipeline");
+  PhaseTimer(PhaseTimes *Out, const char *Name);
   ~PhaseTimer();
   PhaseTimer(const PhaseTimer &) = delete;
   PhaseTimer &operator=(const PhaseTimer &) = delete;
 
-  Span &span() { return S; }
-
 private:
   PhaseTimes *Out;
   const char *Name;
-  Span S;
   int64_t StartUs;
   uint16_t NameId = 0; ///< interned phase name; 0 while the recorder is off
 };
 
 } // namespace eal::obs
 
-#endif // EAL_OBS_RECORDER_H
+#endif // EAL_OBS_FLIGHT_RECORDER_H

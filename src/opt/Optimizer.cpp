@@ -70,9 +70,10 @@ void recordReuseProvenance(const AstContext &Ast, const TypedProgram &Program,
   }
 }
 
-/// Publishes the optimizer's decision counts: how many reuse versions /
-/// DCONS sites the transformation produced and how many arena directives
-/// (with their stack/region site split) the planner emitted.
+/// Publishes the optimizer's decision counts into the metrics registry:
+/// how many reuse versions / DCONS sites the transformation produced and
+/// how many arena directives (with their stack/region site split) the
+/// planner emitted.
 void recordDecisions(const OptimizedProgram &Out) {
   uint64_t DconsSites = 0;
   for (const ReuseVersion &V : Out.Reuse.Versions)
@@ -82,29 +83,17 @@ void recordDecisions(const OptimizedProgram &Out) {
     for (const auto &[Id, Class] : D.Sites)
       (Class == ArenaSiteClass::Stack ? StackSites : RegionSites) += 1;
 
-  if (obs::metricsEnabled()) {
-    obs::MetricsRegistry &Reg = obs::globalMetrics();
-    Reg.counter("opt.reuse.versions").add(Out.Reuse.Versions.size());
-    Reg.counter("opt.reuse.dcons_sites").add(DconsSites);
-    Reg.counter("opt.reuse.retargets").add(Out.Reuse.Retargets.size());
-    Reg.counter("opt.plan.directives").add(Out.Plan.Directives.size());
-    Reg.counter("opt.plan.stack_sites").add(StackSites);
-    Reg.counter("opt.plan.region_sites").add(RegionSites);
-    Reg.counter("escape.fixpoint_rounds").add(Out.BaseEscape.FixpointRounds);
-    Reg.counter("escape.apply_cache_entries")
-        .max(Out.BaseEscape.ApplyCacheEntries);
-    Reg.counter("escape.distinct_values").max(Out.BaseEscape.DistinctValues);
-  }
-  if (obs::tracingEnabled())
-    obs::instant("opt.decisions", "opt",
-                 {{"reuse_versions",
-                   std::to_string(Out.Reuse.Versions.size())},
-                  {"dcons_sites", std::to_string(DconsSites)},
-                  {"retargets", std::to_string(Out.Reuse.Retargets.size())},
-                  {"plan_directives",
-                   std::to_string(Out.Plan.Directives.size())},
-                  {"stack_sites", std::to_string(StackSites)},
-                  {"region_sites", std::to_string(RegionSites)}});
+  obs::MetricsRegistry &Reg = obs::globalMetrics();
+  Reg.counter("opt.reuse.versions").add(Out.Reuse.Versions.size());
+  Reg.counter("opt.reuse.dcons_sites").add(DconsSites);
+  Reg.counter("opt.reuse.retargets").add(Out.Reuse.Retargets.size());
+  Reg.counter("opt.plan.directives").add(Out.Plan.Directives.size());
+  Reg.counter("opt.plan.stack_sites").add(StackSites);
+  Reg.counter("opt.plan.region_sites").add(RegionSites);
+  Reg.counter("escape.fixpoint_rounds").add(Out.BaseEscape.FixpointRounds);
+  Reg.counter("escape.apply_cache_entries")
+      .max(Out.BaseEscape.ApplyCacheEntries);
+  Reg.counter("escape.distinct_values").max(Out.BaseEscape.DistinctValues);
 }
 
 } // namespace
@@ -123,10 +112,6 @@ eal::optimizeProgram(AstContext &Ast, TypeContext &Types,
     if (Config.Explain)
       BaseAnalyzer.attachProvenance(Config.Explain);
     Out.BaseEscape = BaseAnalyzer.analyzeProgram();
-    T.span().arg("functions",
-                 static_cast<uint64_t>(Out.BaseEscape.Functions.size()));
-    T.span().arg("fixpoint_rounds",
-                 static_cast<uint64_t>(Out.BaseEscape.FixpointRounds));
   }
 
   // Phase 2: in-place reuse (sharing analysis feeds the transformation).
@@ -144,20 +129,6 @@ eal::optimizeProgram(AstContext &Ast, TypeContext &Types,
     if (Config.Explain)
       recordReuseProvenance(Ast, Program, Out.BaseEscape, Out.Reuse,
                             *Config.Explain);
-    T.span().arg("reuse_versions",
-                 static_cast<uint64_t>(Out.Reuse.Versions.size()));
-  } else if (obs::tracingEnabled()) {
-    // With reuse off nothing consumes sharing facts, but a traced run
-    // still reports the phase: derive the clause-2 facts the transform
-    // would have used (same convention as the pipeline's lex span).
-    obs::PhaseTimer T(PhaseMicrosOut, "sharing");
-    SharingAnalysis Sharing(Ast, Program, Out.BaseEscape);
-    uint64_t Facts = 0;
-    for (const FunctionEscape &F : Out.BaseEscape.Functions)
-      if (Sharing.resultSharing(F.Name))
-        ++Facts;
-    T.span().arg("facts", Facts);
-    T.span().arg("reuse", std::string_view("off"));
   }
 
   // Phase 3: re-type and re-analyze the final program. Re-inference runs
@@ -182,8 +153,6 @@ eal::optimizeProgram(AstContext &Ast, TypeContext &Types,
     if (Config.Explain)
       Out.FinalAnalyzer->attachProvenance(Config.Explain);
     Out.FinalEscape = Out.FinalAnalyzer->analyzeProgram();
-    T.span().arg("fixpoint_rounds",
-                 static_cast<uint64_t>(Out.FinalEscape.FixpointRounds));
   }
 
   // Phase 4: allocation planning on the final program.
@@ -195,11 +164,9 @@ eal::optimizeProgram(AstContext &Ast, TypeContext &Types,
     PO.Prov = Config.Explain;
     AllocPlanner Planner(Ast, *Out.Typed, *Out.FinalAnalyzer, PO);
     Out.Plan = Planner.run();
-    T.span().arg("directives",
-                 static_cast<uint64_t>(Out.Plan.Directives.size()));
   }
 
-  if (obs::enabled())
+  if (obs::metricsEnabled())
     recordDecisions(Out);
   return Out;
 }

@@ -215,24 +215,13 @@ void Heap::freeArena(size_t Handle) {
   if (A.StackCells || A.RegionCells)
     obs::rec::emit(obs::rec::RecKind::ArenaFree, A.StackCells, A.RegionCells,
                    static_cast<uint32_t>(Handle));
-  if (obs::enabled()) [[unlikely]] {
-    if (obs::metricsEnabled()) {
-      obs::MetricsRegistry &Reg = obs::globalMetrics();
-      if (A.StackCells)
-        Reg.histogram("heap.arena.stack_cells_per_free")
-            .record(A.StackCells);
-      if (A.RegionCells)
-        Reg.histogram("heap.arena.region_cells_per_free")
-            .record(A.RegionCells);
-    }
-    if (obs::tracingEnabled()) {
-      if (A.StackCells)
-        obs::instant("stack.arena_free", "arena",
-                     {{"cells", std::to_string(A.StackCells)}});
-      if (A.RegionCells)
-        obs::instant("region.bulk_free", "arena",
-                     {{"cells", std::to_string(A.RegionCells)}});
-    }
+  if (obs::metricsEnabled()) [[unlikely]] {
+    obs::MetricsRegistry &Reg = obs::globalMetrics();
+    if (A.StackCells)
+      Reg.histogram("heap.arena.stack_cells_per_free").record(A.StackCells);
+    if (A.RegionCells)
+      Reg.histogram("heap.arena.region_cells_per_free")
+          .record(A.RegionCells);
   }
   A = CellArena();
   FreeArenaSlots.push_back(Handle);
@@ -333,10 +322,10 @@ void Heap::clearMarks() {
 void Heap::collect() {
   ++Stats.GcRuns;
   // Capture before-counters so the GC events can report this run's work.
-  const bool Traced = obs::enabled() || obs::rec::on();
+  const bool Traced = obs::metricsEnabled() || obs::rec::on();
   const uint64_t MarkedBefore = Traced ? Stats.CellsMarked : 0;
   const uint64_t SweptBefore = Traced ? Stats.CellsSwept : 0;
-  const int64_t StartUs = Traced ? obs::nowMicros() : 0;
+  const int64_t StartUs = obs::metricsEnabled() ? obs::nowMicros() : 0;
   obs::rec::emit(obs::rec::RecKind::GcBegin, LiveHeap, Capacity);
 
   markPhase(/*IncludeArenas=*/true, /*ExcludeHandle=*/SIZE_MAX);
@@ -363,7 +352,6 @@ void Heap::collect() {
   }
 
   if (Traced) [[unlikely]] {
-    const int64_t PauseUs = obs::nowMicros() - StartUs;
     const uint64_t Marked = Stats.CellsMarked - MarkedBefore;
     const uint64_t Swept = Stats.CellsSwept - SweptBefore;
     obs::rec::emit(obs::rec::RecKind::GcEnd, Marked, Swept,
@@ -371,24 +359,8 @@ void Heap::collect() {
     if (obs::metricsEnabled()) {
       obs::MetricsRegistry &Reg = obs::globalMetrics();
       Reg.histogram("heap.gc.pause_us")
-          .record(static_cast<uint64_t>(PauseUs));
+          .record(static_cast<uint64_t>(obs::nowMicros() - StartUs));
       Reg.histogram("heap.gc.swept_cells_per_run").record(Swept);
-    }
-    if (obs::tracingEnabled()) {
-      // Aggregate-initialized in place: GCC 12's -Wmaybe-uninitialized
-      // misfires on member-by-member assignment at -O2.
-      obs::TraceEvent E{"gc.collect",
-                        "gc",
-                        'X',
-                        StartUs,
-                        PauseUs,
-                        0,
-                        0,
-                        {{"marked", std::to_string(Marked)},
-                         {"swept", std::to_string(Swept)},
-                         {"live", std::to_string(LiveHeap)},
-                         {"capacity", std::to_string(Capacity)}}};
-      obs::record(std::move(E));
     }
   }
 }

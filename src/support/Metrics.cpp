@@ -7,8 +7,6 @@
 
 #include "support/Metrics.h"
 
-#include "support/Trace.h"
-
 #include <bit>
 #include <sstream>
 
@@ -152,12 +150,6 @@ MetricsRegistry &obs::globalMetrics() {
 
 std::atomic<bool> obs::detail::MetricsOn{false};
 
-void obs::enableMetrics() {
-  detail::MetricsOn = true;
-  detail::refreshMaster();
-}
+void obs::enableMetrics() { detail::MetricsOn = true; }
 
-void obs::disableMetrics() {
-  detail::MetricsOn = false;
-  detail::refreshMaster();
-}
+void obs::disableMetrics() { detail::MetricsOn = false; }

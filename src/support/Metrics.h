@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The metrics half of the `eal::obs` observability subsystem (the
-/// tracing half is Trace.h). A MetricsRegistry holds named monotone
+/// The metrics half of the `eal::obs` observability subsystem (timed
+/// events come from the flight recorder, obs/Recorder.h). A MetricsRegistry holds named monotone
 /// counters and power-of-two-bucketed histograms, and renders itself as
 /// JSON for `eal --stats-json` and the `BENCH_*.json` perf-trajectory
 /// files.
@@ -117,13 +117,12 @@ private:
 MetricsRegistry &globalMetrics();
 
 namespace detail {
-/// Atomic for the same reason as Trace.h's flags: producer sites may
-/// load it on any thread.
+/// Atomic: producer sites may load it on any thread while another
+/// thread toggles it.
 extern std::atomic<bool> MetricsOn;
 } // namespace detail
 
-/// Guard for metrics producer sites (same discipline as Trace.h's
-/// enabled(): one inlined relaxed load when off).
+/// Guard for metrics producer sites: one inlined relaxed load when off.
 inline bool metricsEnabled() {
   return detail::MetricsOn.load(std::memory_order_relaxed);
 }

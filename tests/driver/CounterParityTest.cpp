@@ -7,21 +7,25 @@
 // share the Heap, the arenas, and the DCONS machinery, so the storage
 // counters the paper's experiments are built on must not depend on which
 // engine ran the program. These tests pin that down, and check the
-// pipeline's trace instrumentation end to end: one run under tracing
-// must produce all seven phase spans.
+// pipeline's Chrome trace end to end: every phase of the run is one
+// balanced "B"/"E" pair, GC cycles and arena frees match the run's
+// counters, and tracing changes no work the run does.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
 #include "support/Metrics.h"
-#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 using namespace eal;
 
@@ -146,35 +150,174 @@ protected:
   void SetUp() override { reset(); }
   void TearDown() override { reset(); }
   static void reset() {
-    obs::disableTracing();
     obs::disableMetrics();
-    obs::clearTrace();
     obs::globalMetrics().clear();
   }
 };
 
-TEST_F(PipelineTraceTest, TracedRunEmitsAllSevenPhaseSpans) {
-  obs::enableTracing();
-  PipelineResult R = runPipeline(
-      sortProgram(), engineOptions(ExecutionEngine::TreeWalker, true));
-  ASSERT_TRUE(R.Success) << R.diagnostics();
+/// One trace_event object of a written trace: the fields the tests read.
+struct ChromeEvent {
+  std::string Name, Cat, Ph;
+};
 
-  std::set<std::string> SpanNames;
-  for (const obs::TraceEvent &E : obs::snapshot())
-    if (E.Phase == 'X')
-      SpanNames.insert(E.Name);
-  for (const char *Phase : {"lex", "parse", "type-inference", "escape",
-                            "sharing", "optimize", "execute"})
-    EXPECT_TRUE(SpanNames.count(Phase)) << "missing phase span: " << Phase;
+/// The string value of \p Key in \p Line, one trace_event object as the
+/// writer renders it (one per line; these names need no escapes).
+std::string stringField(const std::string &Line, const std::string &Key) {
+  size_t At = Line.find("\"" + Key + "\":\"");
+  if (At == std::string::npos)
+    return "";
+  At += Key.size() + 4;
+  return Line.substr(At, Line.find('"', At) - At);
+}
 
-  // The wall-clock ledger saw the same phases (escape/sharing nest
-  // inside optimize; lex exists because tracing was on).
-  std::set<std::string> Ledger;
+/// The events of the Chrome trace at \p Path, in file order.
+std::vector<ChromeEvent> readTrace(const std::string &Path) {
+  std::ifstream In(Path);
+  std::vector<ChromeEvent> Events;
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("{", 0) == 0)
+      Events.push_back({stringField(Line, "name"), stringField(Line, "cat"),
+                        stringField(Line, "ph")});
+  return Events;
+}
+
+std::string readSource(const char *Example) {
+  std::ifstream In(std::string(EAL_SOURCE_DIR) + "/examples/nml/" + Example);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+std::string tracePath(const char *Name) {
+  return testing::TempDir() + Name;
+}
+
+/// Checks that the phase events of \p Events are balanced "B"/"E" pairs
+/// whose "E" order is the phase ledger's order.
+void expectPhasesMatchLedger(const std::vector<ChromeEvent> &Events,
+                             const PipelineResult &R) {
+  std::vector<std::string> Open, Ended;
+  for (const ChromeEvent &E : Events) {
+    if (E.Cat != "phase")
+      continue;
+    if (E.Ph == "B") {
+      Open.push_back(E.Name);
+    } else {
+      ASSERT_EQ(E.Ph, "E");
+      ASSERT_FALSE(Open.empty()) << "unopened phase " << E.Name;
+      EXPECT_EQ(Open.back(), E.Name);
+      Open.pop_back();
+      Ended.push_back(E.Name);
+    }
+  }
+  EXPECT_TRUE(Open.empty());
+  std::vector<std::string> Ledger;
   for (const auto &[Name, Micros] : R.PhaseMicros)
-    Ledger.insert(Name);
-  for (const char *Phase : {"lex", "parse", "type-inference", "escape",
-                            "sharing", "optimize", "final-escape", "execute"})
-    EXPECT_TRUE(Ledger.count(Phase)) << "missing phase time: " << Phase;
+    Ledger.push_back(Name);
+  EXPECT_EQ(Ended, Ledger);
+}
+
+TEST_F(PipelineTraceTest, TracedRunEmitsAllSevenPhaseSpans) {
+  for (ExecutionEngine Engine :
+       {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode}) {
+    const std::string Path = tracePath("seven_phases.json");
+    PipelineOptions Options = engineOptions(Engine, true);
+    Options.Obs.TracePath = Path;
+    PipelineResult R = runPipeline(sortProgram(), Options);
+    ASSERT_TRUE(R.Success) << R.diagnostics();
+    ASSERT_TRUE(R.ObsExportErrors.empty());
+
+    std::vector<ChromeEvent> Events = readTrace(Path);
+    expectPhasesMatchLedger(Events, R);
+    std::set<std::string> Phases;
+    for (const ChromeEvent &E : Events)
+      if (E.Cat == "phase")
+        Phases.insert(E.Name);
+    for (const char *Phase : {"parse", "type-inference", "escape", "sharing",
+                              "final-escape", "optimize", "execute"})
+      EXPECT_TRUE(Phases.count(Phase)) << "missing phase: " << Phase;
+    EXPECT_FALSE(Phases.count("lex"));
+  }
+}
+
+TEST_F(PipelineTraceTest, GcCyclesArePairsOnePerCollection) {
+  // gc_stress churns the collector at the default heap size.
+  for (ExecutionEngine Engine :
+       {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode}) {
+    const std::string Path = tracePath("gc_pairs.json");
+    PipelineOptions Options;
+    Options.Engine = Engine;
+    Options.Obs.TracePath = Path;
+    PipelineResult R = runPipeline(readSource("gc_stress.nml"), Options);
+    ASSERT_TRUE(R.Success) << R.diagnostics();
+    ASSERT_GT(R.Stats.GcRuns, 0u);
+
+    uint64_t Begins = 0, Ends = 0;
+    for (const ChromeEvent &E : readTrace(Path))
+      if (E.Cat == "gc") {
+        EXPECT_EQ(E.Name, "gc");
+        EXPECT_EQ(E.Ph, Begins == Ends ? "B" : "E"); // never nested
+        (E.Ph == "B" ? Begins : Ends) += 1;
+      }
+    EXPECT_EQ(Begins, R.Stats.GcRuns);
+    EXPECT_EQ(Ends, R.Stats.GcRuns);
+  }
+}
+
+TEST_F(PipelineTraceTest, ArenaFreesAreOneInstantEach) {
+  // With reuse off, partition_sort's spines go to stack and region
+  // arenas instead of DCONS.
+  for (ExecutionEngine Engine :
+       {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode}) {
+    const std::string Path = tracePath("arena_frees.json");
+    PipelineOptions Options;
+    Options.Engine = Engine;
+    Options.Optimize.EnableReuse = false;
+    Options.Obs.TracePath = Path;
+    PipelineResult R = runPipeline(readSource("partition_sort.nml"), Options);
+    ASSERT_TRUE(R.Success) << R.diagnostics();
+    const uint64_t Frees = R.Stats.StackArenaFrees + R.Stats.RegionBulkFrees;
+    ASSERT_GT(Frees, 0u);
+
+    uint64_t Instants = 0;
+    for (const ChromeEvent &E : readTrace(Path))
+      if (E.Name == "arena.free") {
+        EXPECT_EQ(E.Ph, "i");
+        ++Instants;
+      }
+    EXPECT_EQ(Instants, Frees);
+  }
+}
+
+TEST_F(PipelineTraceTest, TracingChangesNoWork) {
+  // A trace is written from the events every run emits anyway, so it
+  // adds no phase and no analysis work: the same phases run and the
+  // escape analyzers evaluate the same bodies with and without it.
+  obs::enableMetrics();
+  for (ExecutionEngine Engine :
+       {ExecutionEngine::TreeWalker, ExecutionEngine::Bytecode})
+    for (bool Reuse : {true, false}) {
+      std::vector<std::string> Phases[2];
+      uint64_t BodyEvals[2] = {0, 0};
+      for (bool Traced : {false, true}) {
+        PipelineOptions Options = engineOptions(Engine, Reuse);
+        if (Traced)
+          Options.Obs.TracePath = tracePath("no_work.json");
+        obs::globalMetrics().clear();
+        PipelineResult R = runPipeline(sortProgram(), Options);
+        ASSERT_TRUE(R.Success) << R.diagnostics();
+        for (const auto &[Name, Micros] : R.PhaseMicros)
+          Phases[Traced].push_back(Name);
+        BodyEvals[Traced] =
+            obs::globalMetrics().counterValue("escape.body_evals");
+      }
+      const std::string Config = std::string(
+          Engine == ExecutionEngine::Bytecode ? "vm" : "tree") +
+          (Reuse ? "" : " --no-reuse");
+      EXPECT_EQ(Phases[0], Phases[1]) << Config;
+      EXPECT_GT(BodyEvals[0], 0u) << Config;
+      EXPECT_EQ(BodyEvals[0], BodyEvals[1]) << Config;
+    }
 }
 
 TEST_F(PipelineTraceTest, OptimizeSubphasesCoverOptimize) {
@@ -258,18 +401,32 @@ TEST_F(PipelineTraceTest, TopLevelPhasesCoverRunPipeline) {
 }
 
 TEST_F(PipelineTraceTest, UntracedRunRecordsNothing) {
-  PipelineResult R = runPipeline(
-      sortProgram(), engineOptions(ExecutionEngine::TreeWalker, true));
-  ASSERT_TRUE(R.Success);
-  EXPECT_EQ(obs::eventCount(), 0u);
-  // Phase wall times are still measured (no "lex": that pre-pass only
-  // runs under tracing).
+  // A trace holds its own run alone: once that run has closed the file,
+  // a later untraced run writes nothing to it, and creates no file of
+  // its own.
+  const std::string Path = tracePath("untraced.json");
+  std::remove(Path.c_str());
+  PipelineOptions Options = engineOptions(ExecutionEngine::TreeWalker, true);
+  PipelineResult Untraced = runPipeline(sortProgram(), Options);
+  ASSERT_TRUE(Untraced.Success);
+  EXPECT_FALSE(std::ifstream(Path).good());
+
+  Options.Obs.TracePath = Path;
+  PipelineResult Traced = runPipeline(sortProgram(), Options);
+  ASSERT_TRUE(Traced.Success);
+  const std::vector<ChromeEvent> Written = readTrace(Path);
+  expectPhasesMatchLedger(Written, Traced);
+
+  Options.Obs.TracePath.clear();
+  PipelineResult Later = runPipeline(sortProgram(), Options);
+  ASSERT_TRUE(Later.Success);
+  EXPECT_EQ(readTrace(Path).size(), Written.size());
+  // Phase wall times are measured either way.
   std::set<std::string> Ledger;
-  for (const auto &[Name, Micros] : R.PhaseMicros)
+  for (const auto &[Name, Micros] : Later.PhaseMicros)
     Ledger.insert(Name);
   EXPECT_TRUE(Ledger.count("parse"));
   EXPECT_TRUE(Ledger.count("execute"));
-  EXPECT_FALSE(Ledger.count("lex"));
 }
 
 TEST_F(PipelineTraceTest, MetricsRunExportsRuntimeCounters) {

@@ -12,9 +12,6 @@
 // the run, and the replayed totals equal the run's own RuntimeStats,
 // across generated programs, seeds, engines, and both file formats.
 //
-// These tests require the recorder compiled in; tests/CMakeLists.txt
-// only builds them under -DEAL_OBS_RECORDER=ON (the default).
-//
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"

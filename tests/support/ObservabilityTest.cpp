@@ -4,9 +4,9 @@
 // (Park & Goldberg, PLDI 1992).
 //
 // Unit tests for the observability subsystem (support/Trace.h,
-// support/Metrics.h, and the phase timer of obs/Recorder.h): span
-// nesting, Chrome trace JSON well-formedness, histograms, the registry,
-// and RuntimeStats export.
+// support/Metrics.h, and the phase timer and Chrome trace writer of
+// obs/Recorder.h): Chrome trace JSON well-formedness, JSON quoting,
+// histograms, the registry, and RuntimeStats export.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,10 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <fstream>
+#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 using namespace eal;
 
@@ -206,81 +205,26 @@ private:
   size_t Pos = 0;
 };
 
-/// Resets all global observability state around each test so they do not
-/// leak recorder contents or enable flags into each other.
+/// Resets the metrics registry and its enable flag around each test so
+/// they do not leak into each other.
 class ObservabilityTest : public ::testing::Test {
 protected:
   void SetUp() override { reset(); }
   void TearDown() override { reset(); }
 
   static void reset() {
-    obs::disableTracing();
     obs::disableMetrics();
-    obs::clearTrace();
     obs::globalMetrics().clear();
   }
 };
 
-//===----------------------------------------------------------------------===//
-// Spans
-//===----------------------------------------------------------------------===//
-
-TEST_F(ObservabilityTest, SpanInactiveWhenDisabled) {
-  ASSERT_FALSE(obs::enabled());
-  {
-    obs::Span S("idle");
-    EXPECT_FALSE(S.active());
-    EXPECT_EQ(obs::Span::currentDepth(), 0u);
-  }
-  EXPECT_EQ(obs::eventCount(), 0u);
-}
-
-TEST_F(ObservabilityTest, SpanNestingDepth) {
-  obs::enableTracing();
-  EXPECT_EQ(obs::Span::currentDepth(), 0u);
-  {
-    obs::Span Outer("outer");
-    EXPECT_TRUE(Outer.active());
-    EXPECT_EQ(obs::Span::currentDepth(), 1u);
-    {
-      obs::Span Inner("inner");
-      EXPECT_EQ(obs::Span::currentDepth(), 2u);
-    }
-    EXPECT_EQ(obs::Span::currentDepth(), 1u);
-  }
-  EXPECT_EQ(obs::Span::currentDepth(), 0u);
-
-  // Spans record at destruction, so the inner event lands first; each
-  // carries its nesting depth and the outer interval contains the inner.
-  std::vector<obs::TraceEvent> Events = obs::snapshot();
-  ASSERT_EQ(Events.size(), 2u);
-  const obs::TraceEvent &Inner = Events[0];
-  const obs::TraceEvent &Outer = Events[1];
-  EXPECT_EQ(Inner.Name, "inner");
-  EXPECT_EQ(Outer.Name, "outer");
-  EXPECT_EQ(Inner.Phase, 'X');
-  EXPECT_EQ(Outer.Phase, 'X');
-  EXPECT_EQ(Inner.Depth, 2u);
-  EXPECT_EQ(Outer.Depth, 1u);
-  EXPECT_LE(Outer.TimestampUs, Inner.TimestampUs);
-  EXPECT_GE(Outer.TimestampUs + Outer.DurationUs,
-            Inner.TimestampUs + Inner.DurationUs);
-}
-
-TEST_F(ObservabilityTest, SpanArgsAreRecorded) {
-  obs::enableTracing();
-  {
-    obs::Span S("work", "test");
-    S.arg("cells", uint64_t(42));
-    S.arg("label", std::string_view("a\"b"));
-  }
-  std::vector<obs::TraceEvent> Events = obs::snapshot();
-  ASSERT_EQ(Events.size(), 1u);
-  EXPECT_EQ(Events[0].Category, "test");
-  ASSERT_EQ(Events[0].Args.size(), 2u);
-  EXPECT_EQ(Events[0].Args[0].first, "cells");
-  EXPECT_EQ(Events[0].Args[0].second, "42");
-  EXPECT_EQ(Events[0].Args[1].second, "\"a\\\"b\""); // quoted + escaped
+/// Occurrences of \p Needle in \p Text.
+size_t countOf(const std::string &Text, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t At = Text.find(Needle); At != std::string::npos;
+       At = Text.find(Needle, At + Needle.size()))
+    ++N;
+  return N;
 }
 
 //===----------------------------------------------------------------------===//
@@ -288,24 +232,54 @@ TEST_F(ObservabilityTest, SpanArgsAreRecorded) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(ObservabilityTest, ChromeTraceJsonIsWellFormed) {
-  obs::enableTracing();
+  // The writer turns each recorder event into one trace_event object as
+  // it is emitted: phases and GC cycles as "B"/"E" pairs, the other lite
+  // kinds as instants with named args, and no cell.* events.
+  using obs::rec::RecKind;
+  ASSERT_TRUE(obs::rec::on());
+  const std::string Path = testing::TempDir() + "obs_chrome_trace.json";
+  ASSERT_TRUE(obs::rec::startTrace(Path));
+  EXPECT_FALSE(obs::rec::startTrace(Path)); // one trace at a time
+  obs::rec::emit(RecKind::RunBegin, obs::rec::internName("test"),
+                 obs::rec::internName("tree-walker"));
   {
-    obs::Span S("phase", "pipeline");
-    S.arg("nodes", uint64_t(7));
-    S.arg("path", std::string_view("a\\b\"c\n"));
-    obs::instant("gc.collect", "gc", {{"swept", "12"}});
-    obs::counter("live_cells", 34);
+    obs::PhaseTimer Outer(nullptr, "quote\"back\\slash\nline");
+    obs::PhaseTimer Inner(nullptr, "run");
+    obs::rec::emit(RecKind::GcBegin, 10, 64);
+    obs::rec::emit(RecKind::CellBirth, 1, 2, 0);
+    obs::rec::emit(RecKind::GcEnd, 7, 3, 7);
+    obs::rec::emit(RecKind::ArenaFree, 3, 0, 5);
   }
-  std::string Json = obs::toChromeTraceJson();
+  obs::rec::emit(RecKind::RunEnd, 1);
+  ASSERT_TRUE(obs::rec::stopTrace());
+  EXPECT_TRUE(obs::rec::stopTrace()); // no trace open: a no-op
+
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  const std::string Json = Buf.str();
   JsonReader Reader(Json);
   EXPECT_TRUE(Reader.valid()) << Json;
-  // Spot-check the trace_event shape (the exporter renders compactly).
-  EXPECT_NE(Json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(Json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(Json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(Json.find("\"name\":\"gc.collect\""), std::string::npos);
-  EXPECT_NE(Json.find("\"dur\":"), std::string::npos);
-  EXPECT_NE(Json.find("\"s\":\"t\""), std::string::npos);
+  EXPECT_EQ(countOf(Json, "\"ph\":\"B\""), 3u) << Json;
+  EXPECT_EQ(countOf(Json, "\"ph\":\"E\""), 3u) << Json;
+  EXPECT_EQ(countOf(Json, "\"ph\":\"i\",\"s\":\"t\""), 3u) << Json;
+  EXPECT_EQ(countOf(Json, "\"name\":\"quote\\\"back\\\\slash\\nline\""), 2u)
+      << Json;
+  EXPECT_NE(Json.find("{\"name\":\"gc\",\"cat\":\"gc\",\"ph\":\"B\""),
+            std::string::npos);
+  EXPECT_NE(Json.find("\"args\":{\"live\":10,\"capacity\":64}"),
+            std::string::npos);
+  EXPECT_NE(Json.find("\"args\":{\"marked\":7,\"swept\":3,\"live\":7}"),
+            std::string::npos);
+  EXPECT_NE(Json.find("\"name\":\"arena.free\",\"cat\":\"arena\""),
+            std::string::npos);
+  EXPECT_NE(Json.find("\"args\":{\"stack_cells\":3,\"region_cells\":0,"
+                      "\"handle\":5}"),
+            std::string::npos);
+  EXPECT_NE(Json.find("\"args\":{\"command\":\"test\",\"engine\":"
+                      "\"tree-walker\"}"),
+            std::string::npos);
+  EXPECT_EQ(Json.find("cell."), std::string::npos) << Json;
 }
 
 TEST_F(ObservabilityTest, JsonQuoteEscapes) {
@@ -321,7 +295,7 @@ TEST_F(ObservabilityTest, JsonQuoteEscapes) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(ObservabilityTest, PhaseTimerAlwaysMeasuresWallTime) {
-  ASSERT_FALSE(obs::enabled());
+  ASSERT_FALSE(obs::metricsEnabled());
   obs::PhaseTimer::PhaseTimes Times;
   { obs::PhaseTimer T(&Times, "parse"); }
   { obs::PhaseTimer T(&Times, "execute"); }
@@ -329,7 +303,7 @@ TEST_F(ObservabilityTest, PhaseTimerAlwaysMeasuresWallTime) {
   EXPECT_EQ(Times[0].first, "parse");
   EXPECT_EQ(Times[1].first, "execute");
   EXPECT_GE(Times[0].second, 0);
-  EXPECT_EQ(obs::eventCount(), 0u); // no tracing side effects
+  EXPECT_EQ(obs::globalMetrics().numCounters(), 0u); // metrics were off
 }
 
 TEST_F(ObservabilityTest, PhaseTimerFeedsMetricsWhenEnabled) {
@@ -410,41 +384,6 @@ TEST_F(ObservabilityTest, HistogramBucketBoundaries) {
   EXPECT_TRUE(Reader.valid()) << Json;
 }
 
-TEST_F(ObservabilityTest, ConcurrentSpansReachRecorder) {
-  // Two threads emitting spans and instants while tracing: recording
-  // serializes under the obs mutex, so the recorder must keep every
-  // event exactly once, with no torn events.
-  obs::enableTracing();
-
-  constexpr int PerThread = 500;
-  auto Work = [](const char *Name) {
-    for (int I = 0; I != PerThread; ++I) {
-      obs::Span S(Name, "mt");
-      S.arg("i", static_cast<uint64_t>(I));
-      obs::instant(Name, "mt");
-    }
-  };
-  std::thread A(Work, "alpha");
-  std::thread B(Work, "beta");
-  A.join();
-  B.join();
-
-  std::vector<obs::TraceEvent> Seen = obs::snapshot();
-  ASSERT_EQ(Seen.size(), 4u * PerThread);
-  size_t Alpha = 0, Beta = 0;
-  for (const obs::TraceEvent &E : Seen) {
-    EXPECT_TRUE(E.Name == "alpha" || E.Name == "beta") << E.Name;
-    EXPECT_TRUE(E.Phase == 'X' || E.Phase == 'i');
-    (E.Name == "alpha" ? Alpha : Beta) += 1;
-  }
-  EXPECT_EQ(Alpha, 2u * PerThread);
-  EXPECT_EQ(Beta, 2u * PerThread);
-  // The export of the interleaved log is still valid JSON.
-  std::string Json = obs::toChromeTraceJson();
-  JsonReader Reader(Json);
-  EXPECT_TRUE(Reader.valid());
-}
-
 //===----------------------------------------------------------------------===//
 // MetricsRegistry
 //===----------------------------------------------------------------------===//
@@ -495,61 +434,6 @@ TEST_F(ObservabilityTest, RuntimeStatsStrAndJsonCarryDerivedTotal) {
   EXPECT_TRUE(Reader.valid()) << Json;
   EXPECT_NE(Json.find("\"total_cells_allocated\": 16"), std::string::npos);
   EXPECT_NE(Json.find("\"dcons_reuses\": 5"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// flushOpenSpans: exports taken mid-phase keep the in-flight spans
-//===----------------------------------------------------------------------===//
-
-TEST_F(ObservabilityTest, FlushOpenSpansRecordsInFlightSpanOnce) {
-  obs::enableTracing();
-  obs::enableMetrics();
-  auto S = std::make_unique<obs::Span>("open-phase", "test");
-  S->arg("depth", static_cast<uint64_t>(1));
-  EXPECT_EQ(obs::eventCount(), 0u); // still open: nothing recorded yet
-
-  EXPECT_EQ(obs::flushOpenSpans(), 1u);
-  EXPECT_EQ(obs::eventCount(), 1u);
-  EXPECT_EQ(obs::globalMetrics().counterValue("obs.export.dropped_spans"),
-            1u);
-
-  std::vector<obs::TraceEvent> Events = obs::snapshot();
-  ASSERT_EQ(Events.size(), 1u);
-  EXPECT_EQ(Events[0].Name, "open-phase");
-  EXPECT_EQ(Events[0].Phase, 'X');
-  bool KeptArg = false, Marked = false;
-  for (const auto &[Key, Value] : Events[0].Args) {
-    KeptArg |= Key == "depth";
-    Marked |= Key == "flushed" && Value == "true";
-  }
-  EXPECT_TRUE(KeptArg);
-  EXPECT_TRUE(Marked);
-
-  // The span's own destruction must not record the event a second time.
-  S.reset();
-  EXPECT_EQ(obs::eventCount(), 1u);
-}
-
-TEST_F(ObservabilityTest, FlushOpenSpansIsNoOpWhenAllSpansClosed) {
-  obs::enableTracing();
-  obs::enableMetrics();
-  { obs::Span S("closed-phase", "test"); }
-  EXPECT_EQ(obs::eventCount(), 1u);
-  EXPECT_EQ(obs::flushOpenSpans(), 0u);
-  EXPECT_EQ(obs::eventCount(), 1u);
-  EXPECT_EQ(obs::globalMetrics().counterValue("obs.export.dropped_spans"),
-            0u);
-}
-
-TEST_F(ObservabilityTest, FlushOpenSpansOrdersInnermostFirst) {
-  obs::enableTracing();
-  obs::Span Outer("outer", "test");
-  obs::Span Inner("inner", "test");
-  EXPECT_EQ(obs::flushOpenSpans(), 2u);
-  std::vector<obs::TraceEvent> Events = obs::snapshot();
-  ASSERT_EQ(Events.size(), 2u);
-  EXPECT_EQ(Events[0].Name, "inner");
-  EXPECT_EQ(Events[1].Name, "outer");
 }
 
 TEST_F(ObservabilityTest, RuntimeStatsExportToRegistry) {

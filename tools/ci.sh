@@ -5,15 +5,13 @@
 #   release   Release, -Werror         the configuration users build
 #   asan      AddressSanitizer        heap bugs the GC could be hiding
 #   ubsan     UndefinedBehaviorSanitizer, -fno-sanitize-recover=all
-#   portable  Release with -DEAL_COMPUTED_GOTO=OFF (the VM's switch
-#             dispatch loop, which non-GNU compilers get) and
-#             -DEAL_OBS_RECORDER=OFF: every rec::emit site must compile
-#             away cleanly when the flight recorder is configured out
-#   tsan      ThreadSanitizer: the obs span store (support/Trace.cpp)
-#             is fed by two threads at once in
-#             tests/support/ObservabilityTest.cpp, so it must stay
-#             race-free; everything else, the flight recorder included,
-#             runs on the thread that calls it and starts no thread
+#   portable  Release with -DEAL_COMPUTED_GOTO=OFF: the VM's switch
+#             dispatch loop, which non-GNU compilers get
+#   tsan      ThreadSanitizer over what still meets more than one
+#             thread or stack: the metrics registry's lock, the
+#             RecorderStress tests' producer threads, and the
+#             LargeStack fiber switches; the product itself starts no
+#             thread
 #
 # Each configuration builds into build-ci-<name>/ at the repo root and
 # runs the tier-1 ctest suite (tier2 benches/sweeps are excluded: they
@@ -48,7 +46,7 @@ configure_flags() {
   release) echo "-DCMAKE_BUILD_TYPE=Release -DEAL_WERROR=ON" ;;
   asan) echo "-DCMAKE_BUILD_TYPE=RelWithDebInfo -DEAL_WERROR=ON -DEAL_ASAN=ON" ;;
   ubsan) echo "-DCMAKE_BUILD_TYPE=RelWithDebInfo -DEAL_WERROR=ON -DEAL_UBSAN=ON" ;;
-  portable) echo "-DCMAKE_BUILD_TYPE=Release -DEAL_WERROR=ON -DEAL_COMPUTED_GOTO=OFF -DEAL_OBS_RECORDER=OFF" ;;
+  portable) echo "-DCMAKE_BUILD_TYPE=Release -DEAL_WERROR=ON -DEAL_COMPUTED_GOTO=OFF" ;;
   tsan) echo "-DCMAKE_BUILD_TYPE=RelWithDebInfo -DEAL_WERROR=ON -DEAL_TSAN=ON" ;;
   *)
     echo "ci.sh: unknown configuration '$1' (expected release|asan|ubsan|portable|tsan)" >&2
@@ -73,7 +71,7 @@ run_config() {
     smoke "eal live" live_smoke "$dir"
     smoke "eal run --live-oracle, both engines," live_oracle_smoke "$dir"
     smoke "eal spec + forced deopt, both engines," spec_smoke "$dir"
-    smoke "eal run --record + timeline, both engines," record_smoke "$dir"
+    smoke "eal run --record/--trace + timeline, both engines," record_smoke "$dir"
     record_dump_smoke "$dir"
   fi
   if [ "$name" = release ]; then
@@ -187,22 +185,32 @@ spec_smoke() {
 }
 
 # Flight-recorder smoke: stream every shipped example, on both engines
-# and in both formats, into an eal-rec-v1 recording under ASan (emit
-# writes each event to the file as the run produces it, on the big
-# stack, so ASan watches the NDJSON and the binary writer), round-trip
-# each file through the schema checker, and replay it with `eal
-# timeline`, which exits 1 if the replayed counters fail to reconcile
-# with the run's own stats (docs/RECORDER.md).
+# and in both formats, into an eal-rec-v1 recording under ASan, with
+# its Chrome trace written alongside (emit writes each event to both
+# files as the run produces it, on the big stack, so ASan watches the
+# NDJSON, binary and trace writers). Each recording round-trips through
+# the schema checker and is replayed with `eal timeline`, which exits 1
+# if the replayed counters fail to reconcile with the run's own stats
+# (docs/RECORDER.md); each trace must parse as JSON with its "B" and
+# "E" events balanced.
 record_smoke() {
-  local dir="$1" example="$2" name="$3" engine format rec
+  local dir="$1" example="$2" name="$3" engine format rec trace
   shift 3
   for engine in "" --vm; do
     for format in --record --record-binary; do
       rec="$dir/record-$name$engine$format.rec"
+      trace="$dir/record-$name$engine$format.trace.json"
       # shellcheck disable=SC2086
-      "$dir/tools/eal" run "$example" "$@" $engine "$format=$rec" >/dev/null
+      "$dir/tools/eal" run "$example" "$@" $engine "$format=$rec" \
+          --trace="$trace" >/dev/null
       python3 "$CHECK_JSON" "$rec"
       "$dir/tools/eal" timeline "$rec" >/dev/null
+      python3 -c 'import json, sys
+open_ = 0
+for e in json.load(open(sys.argv[1])):
+    open_ += {"B": 1, "E": -1}.get(e["ph"], 0)
+    assert open_ >= 0, "E before its B"
+assert open_ == 0, "unclosed B"' "$trace"
     done
   done
 }

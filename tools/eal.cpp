@@ -49,9 +49,10 @@
 //   -                 read the program from stdin
 //
 // Observability flags (docs/OBSERVABILITY.md):
-//   --trace=FILE      record phase spans, fixpoint iterates, GC and arena
-//                     events; write a Chrome trace_event JSON file
-//                     loadable by chrome://tracing / Perfetto
+//   --trace=FILE      write the run's phases, GC cycles, heap growth,
+//                     arena opens and frees, deopts and refutations as a
+//                     Chrome trace_event JSON file loadable by
+//                     chrome://tracing / Perfetto
 //   --stats-json=FILE write runtime counters + metrics registry as JSON
 //   --time-phases     print per-phase wall times after the run
 //
@@ -403,9 +404,9 @@ int runCommand(const std::string &Command, const std::string &Source,
                                *R.Diags);
     R.Success = R.Code.has_value();
   }
-  // The pipeline itself exports traces and stats (even on failure: a
-  // trace of a failed run is exactly what one wants for debugging it);
-  // surface any export errors here.
+  // The pipeline itself writes the trace and the stats (even on failure:
+  // a trace of a failed run is exactly what one wants for debugging
+  // it); surface any export errors here.
   bool ExportOk = reportObsErrors(R);
   if (!Cli.ExplainJsonPath.empty()) {
     if (R.Explain)
