@@ -44,6 +44,7 @@ template <class RootFn>
 ValueId EscapeAnalyzer::runToFixpoint(RootFn &&Root) {
   ValueId Result = Store.bottom();
   const uint64_t EvalsBefore = Solver.evaluations();
+  const unsigned WideningsBefore = Widenings;
   if (Tracing)
     RoundChanges.clear();
   bool Converged = Solver.run([&] {
@@ -58,6 +59,13 @@ ValueId EscapeAnalyzer::runToFixpoint(RootFn &&Root) {
                 "escape analysis exceeded " +
                     std::to_string(Solver.maxRounds()) +
                     " fixpoint rounds; result is conservative");
+  // The last round's entries are final (docs/INTERNALS.md §3) unless the
+  // query widened (depth widening depends on the path an entry is reached
+  // by), or the trace or the provenance recorder must see every
+  // re-evaluation.
+  if (Converged && Widenings == WideningsBefore && !Tracing &&
+      !Solver.provenance())
+    Solver.freezeLastRound();
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry &Reg = obs::globalMetrics();
     Reg.counter("escape.queries").add(1);

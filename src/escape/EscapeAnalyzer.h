@@ -14,7 +14,9 @@
 /// argument value), and letrec bindings are memoized as entries of the
 /// fixpoint solver shared with the liveness analysis (explain/Fixpoint.h).
 /// A cache miss starts from ⊥, which breaks recursive cycles; the whole
-/// query is then re-evaluated in rounds until no entry changes. All
+/// query is then re-evaluated in rounds until no entry changes. The
+/// entries of a converged query's last round are then final, so later
+/// queries evaluate only entries no earlier query settled. All
 /// abstract operators are monotone and the value space reachable from a
 /// program is finite, so the iteration terminates (§3.5); the solver's
 /// round budget guards against bugs.
@@ -223,7 +225,7 @@ public:
 
   /// Closure-body and letrec-binding evaluations so far, over every
   /// query (the work the fixpoint does; also exported as the
-  /// escape.body_evals metric).
+  /// escape.body_evals metric). Final entries are not evaluated again.
   uint64_t bodyEvalCount() const { return Solver.evaluations(); }
 
   /// Enables recording of per-binding fixpoint iterates (Appendix A.1
@@ -241,7 +243,9 @@ public:
   /// Attaches a why-provenance recorder (docs/EXPLAIN.md): subsequent
   /// queries record Binding/Apply/Query facts and their derivation
   /// edges, and fill ParamEscape::Prov. Null detaches. The recorder must
-  /// outlive the analyzer.
+  /// outlive the analyzer. Attach before the first query: while one is
+  /// attached no entry becomes final, but entries made final before are
+  /// not derived again.
   void attachProvenance(explain::ProvenanceRecorder *P);
   explain::ProvenanceRecorder *provenance() const {
     return Solver.provenance();

@@ -28,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace eal {
 namespace explain {
@@ -37,11 +38,13 @@ public:
   using Value = typename Lattice::Value;
 
   /// One memoized unknown. The client creates it with Val at ⊥; from
-  /// then on only the solver writes it.
+  /// then on only the solver writes it. It must not move while the
+  /// solver may list it (until the next round starts).
   struct Entry {
     Value Val{};
     unsigned Round = 0; ///< round stamp of the last evaluation
     bool InProgress = false;
+    bool Stable = false; ///< final: read without evaluating (freezeLastRound)
   };
 
   /// Where the provenance fact of an entry or a query lives, and the
@@ -63,8 +66,8 @@ public:
   ProvenanceRecorder *provenance() const { return Prov; }
 
   /// The entry protocol. Reads \p E, whose fact is at \p Site (labelled
-  /// by \p Label() on first sight). Unless \p E is in progress (a
-  /// recursive cycle) or was evaluated this round already, runs
+  /// by \p Label() on first sight). Unless \p E is stable, in progress
+  /// (a recursive cycle) or was evaluated this round already, runs
   /// \p Evaluate(fact id), joins its value into E.Val and raises the fact
   /// if E.Val rose. Returns nullopt when the memoized value stood, else
   /// whether it rose.
@@ -72,9 +75,10 @@ public:
   std::optional<bool> evaluate(Entry &E, const FactSite &Site,
                                LabelFn &&Label, EvaluateFn &&Evaluate) {
     uint32_t F = readFact(Site, Label);
-    if (E.InProgress || E.Round == Stamp)
+    if (E.Stable || E.InProgress || E.Round == Stamp)
       return std::nullopt;
     E.Round = Stamp;
+    RoundEntries.push_back(&E);
     E.InProgress = true;
     if (Prov)
       Prov->open(F);
@@ -122,6 +126,7 @@ public:
     do {
       Changed = false;
       Raises = 0;
+      RoundEntries.clear();
       if (++Rounds > MaxRounds) {
         BudgetHit = true;
         return false;
@@ -134,6 +139,19 @@ public:
 
   /// Forces another round: client state outside the memo tables rose.
   void markChanged() { Changed = true; }
+
+  /// Marks the entries evaluated in the latest round stable. Sound after
+  /// run() returned true when every evaluation step read only memo
+  /// entries: nothing rose in that round, so those entries read only each
+  /// other or stable ones, and sit at the least fixpoint of that closed
+  /// system, which later queries (adding only new entries) cannot raise.
+  /// A client with state outside the memo tables (markChanged()) must not
+  /// call it. After a budget hit the list is empty: nothing is frozen.
+  void freezeLastRound() {
+    for (Entry *E : RoundEntries)
+      E->Stable = true;
+    RoundEntries.clear();
+  }
 
   /// Rounds of the latest query, counting the one a budget hit refused.
   unsigned rounds() const { return Rounds; }
@@ -165,6 +183,8 @@ private:
   Lattice L;
   unsigned MaxRounds;
   ProvenanceRecorder *Prov = nullptr;
+  /// The entries evaluated in the current round.
+  std::vector<Entry *> RoundEntries;
   unsigned Stamp = 0;
   unsigned Rounds = 0;
   unsigned Raises = 0;

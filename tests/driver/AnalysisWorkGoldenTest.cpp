@@ -16,6 +16,11 @@
 //
 // and reviews the diff like any other source change.
 //
+// A second test guards the shape of the escape work rather than its
+// values: on a chain of F functions, each calling the previous one,
+// converged queries leave their entries final, so the work grows
+// linearly in F; re-walking the program per query grew it quadratically.
+//
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
@@ -133,6 +138,45 @@ TEST_F(AnalysisWorkGolden, EveryExampleUnderEveryConfig) {
   EXPECT_EQ(Actual.str(), Buf.str())
       << "analysis work drifted from " << Path
       << "; if intentional, regenerate with EAL_UPDATE_GOLDEN=1";
+}
+
+/// A chain of \p F functions: f0 copies its list, and each fI appends
+/// f(I-1)'s copy to a copy of its own. Every fI's escape queries reach
+/// f0..f(I-1).
+std::string chainSource(unsigned F) {
+  std::string Source = "letrec\n"
+                       "  append x y = if (null x) then y\n"
+                       "               else cons (car x) (append (cdr x) y);\n"
+                       "  f0 l = if (null l) then nil\n"
+                       "         else cons (car l) (f0 (cdr l));\n";
+  for (unsigned I = 1; I != F; ++I) {
+    std::string Name = "f" + std::to_string(I);
+    std::string Prev = "f" + std::to_string(I - 1);
+    Source += "  " + Name + " l = if (null l) then nil\n";
+    Source += "     else append (" + Prev + " l) (cons (car l) (" + Name +
+              " (cdr l)));\n";
+  }
+  Source += "  last l = l\n";
+  Source += "in f" + std::to_string(F - 1) + " [7]\n";
+  return Source;
+}
+
+TEST_F(AnalysisWorkGolden, ChainEscapeWorkIsLinearInLength) {
+  auto BodyEvals = [](unsigned F) {
+    PipelineOptions Options;
+    Options.Engine = ExecutionEngine::Bytecode;
+    obs::globalMetrics().clear();
+    obs::enableMetrics();
+    PipelineResult R = runPipeline(chainSource(F), Options);
+    obs::disableMetrics();
+    EXPECT_TRUE(R.Success) << "F=" << F << ": " << R.diagnostics();
+    return obs::globalMetrics().counterValue("escape.body_evals");
+  };
+  uint64_t At8 = BodyEvals(8);
+  uint64_t At16 = BodyEvals(16);
+  ASSERT_GT(At8, 0u);
+  // From F=8 to F=16 linear work grows about 1.7x, quadratic work 3.3x.
+  EXPECT_LE(At16 * 2, At8 * 5) << "F=8: " << At8 << ", F=16: " << At16;
 }
 
 } // namespace

@@ -249,6 +249,49 @@ in g [1, 2] (compose (lambda(w). w + 3) (lambda(w). w + 1))
 // Query mechanics.
 //===----------------------------------------------------------------------===//
 
+TEST_F(EscapeAnalyzerTest, ConvergedQueryIsFinalForLaterQueries) {
+  // The bounded compose shape never widens: the first query's last round
+  // is final, so asking again evaluates nothing.
+  const char *Source = R"(
+letrec
+  compose f h = lambda(x). f (h x);
+  g l f = if (null l) then f 0 else (car l + (g (cdr l) f))
+in g [1, 2] (compose (lambda(w). w + 3) (lambda(w). w + 1))
+)";
+  ASSERT_TRUE(setup(Source, TypeInferenceMode::Monomorphic))
+      << FE.diagText();
+  BasicEscape First = global("g", 1);
+  uint64_t Evals = Analyzer->bodyEvalCount();
+  EXPECT_GT(Evals, 0u);
+  EXPECT_EQ(global("g", 1), First);
+  EXPECT_EQ(Analyzer->bodyEvalCount(), Evals);
+  EXPECT_EQ(Analyzer->lastRounds(), 1u);
+}
+
+TEST_F(EscapeAnalyzerTest, WideningQueryFreezesNothing) {
+  // The runaway compose chain widens, and depth widening depends on the
+  // path an entry is reached by: nothing is frozen, so the same query
+  // asked again evaluates its closure bodies again.
+  const char *Source = R"(
+letrec
+  compose f h = lambda(x). f (h x);
+  g l f = if (null l) then f (car l)
+          else (car l + (g (cdr l) (compose f (lambda(w). w + 1))))
+in g [1, 2] (lambda(w). w + 3)
+)";
+  ASSERT_TRUE(setup(Source, TypeInferenceMode::Monomorphic))
+      << FE.diagText();
+  BasicEscape First = global("g", 1);
+  unsigned Widenings = Analyzer->wideningCount();
+  ASSERT_GT(Widenings, 0u);
+  uint64_t Evals = Analyzer->bodyEvalCount();
+  EXPECT_EQ(global("g", 1), First);
+  EXPECT_GT(Analyzer->bodyEvalCount() - Evals, 0u)
+      << "the repeated query re-evaluated nothing";
+  EXPECT_GT(Analyzer->wideningCount(), Widenings)
+      << "the repeated query did not walk the runaway chain again";
+}
+
 TEST_F(EscapeAnalyzerTest, UnknownFunctionNameReturnsNullopt) {
   ASSERT_TRUE(setup("letrec f x = x in f 1")) << FE.diagText();
   EXPECT_FALSE(Analyzer->globalEscape(FE.Ast.intern("nope"), 0).has_value());

@@ -7,7 +7,8 @@
 // over tiny synthetic equation systems on the naturals under max: ⊥-seeded
 // recursion, once-per-round evaluation, convergence of mutual
 // recursion, changes flagged from outside the memo table, the round
-// budget, and the provenance it records.
+// budget, stable entries frozen after a converged query, and the
+// provenance it records.
 //
 //===----------------------------------------------------------------------===//
 
@@ -151,6 +152,47 @@ TEST(FixpointSolver, BudgetHitAfterMaxRoundsKeepsLastValue) {
   Sys.Equations[0] = [] { return 0u; };
   EXPECT_TRUE(Sys.S.run([&] { Sys.get(0); }));
   EXPECT_TRUE(Sys.S.budgetHit());
+}
+
+TEST(FixpointSolver, StableEntryIsNeverEvaluatedAgain) {
+  // Query A solves x0 = min(x0 + 1, 3) in 4 rounds and freezes x0.
+  // Query B (x1 = x0 + 5) and a repeat of A read x0 without evaluating it.
+  EquationSystem Sys(2);
+  Sys.Equations[0] = [&] { return std::min(Sys.get(0) + 1, 3u); };
+  Sys.Equations[1] = [&] { return Sys.get(0) + 5; };
+  EXPECT_TRUE(Sys.S.run([&] { Sys.get(0); }));
+  Sys.S.freezeLastRound();
+  EXPECT_TRUE(Sys.Entries[0].Stable);
+  EXPECT_EQ(Sys.Evals[0], 4u);
+  EXPECT_EQ(Sys.S.evaluations(), 4u);
+
+  EXPECT_TRUE(Sys.S.run([&] { Sys.get(1); }));
+  EXPECT_EQ(Sys.Entries[1].Val, 8u);
+  EXPECT_EQ(Sys.Evals[0], 4u) << "a stable entry answers its value";
+  EXPECT_EQ(Sys.Evals[1], 2u);
+  EXPECT_EQ(Sys.S.evaluations(), 6u);
+
+  EXPECT_TRUE(Sys.S.run([&] { Sys.get(0); }));
+  EXPECT_EQ(Sys.S.rounds(), 1u);
+  EXPECT_EQ(Sys.Evals[0], 4u);
+  EXPECT_EQ(Sys.S.evaluations(), 6u);
+  EXPECT_FALSE(Sys.Entries[1].Stable) << "query B was not frozen";
+}
+
+TEST(FixpointSolver, BudgetHitQueryFreezesNothing) {
+  // x0 = x0 + 1 runs out of rounds; freezing afterwards marks nothing, so
+  // a later query evaluates x0 again.
+  EquationSystem Sys(1, /*MaxRounds=*/3);
+  Sys.Equations[0] = [&] { return Sys.get(0) + 1; };
+  EXPECT_FALSE(Sys.S.run([&] { Sys.get(0); }));
+  Sys.S.freezeLastRound();
+  EXPECT_FALSE(Sys.Entries[0].Stable);
+
+  Sys.Equations[0] = [] { return 0u; };
+  EXPECT_TRUE(Sys.S.run([&] { Sys.get(0); }));
+  EXPECT_EQ(Sys.Evals[0], 4u)
+      << "three rounds before the budget hit, one after";
+  EXPECT_EQ(Sys.Entries[0].Val, 3u);
 }
 
 TEST(FixpointSolver, ProvenanceRecordsQueryLocalRaisesAndReadDeps) {
